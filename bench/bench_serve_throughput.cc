@@ -124,7 +124,10 @@ int Run(int argc, char** argv) {
   report.AddConfig("window", window);
   report.AddConfig("cache_capacity", static_cast<uint64_t>(cache_capacity));
 
-  std::vector<std::string> checks;  // Per-case digest of query 0's answer.
+  // Per case, every query's answer indexed by query id: each case must
+  // reproduce the first one bit for bit.
+  using Answers = std::vector<std::string>;
+  std::vector<Answers> checks;
   const auto digest = [](const serve::ServeResponse& response) {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%zu:%a",
@@ -137,7 +140,13 @@ int Run(int argc, char** argv) {
 
   serve::ResultCache cache(cache_capacity);
   serve::QueryEngine engine(&store, &cache, threads);
-  serve::Batcher batcher(&engine);
+  const auto runs_on = [](serve::QueryEngine& on) {
+    return [&on](const std::vector<serve::ServeRequest>& batch,
+                 std::vector<serve::ServeResponse>* responses) {
+      on.RunBatch(batch, responses);
+    };
+  };
+  serve::Batcher batcher(runs_on(engine));
 
   // Untimed warmup: pool spin-up, workspace growth, page faults. Cleared
   // from the cache afterward so every uncached case still computes.
@@ -154,6 +163,7 @@ int Run(int argc, char** argv) {
   // --- serial: the library baseline. ---
   CaseResult serial;
   {
+    Answers answers(queries);
     obs::MetricsSnapshot before = obs::SnapshotCounters();
     obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
     for (size_t rep = 0; rep < repeats; ++rep) {
@@ -164,7 +174,7 @@ int Run(int argc, char** argv) {
         Stopwatch watch;
         const serve::ServeResponse response = engine.Run(request);
         samples.push_back(watch.ElapsedSeconds());
-        if (checks.empty()) checks.push_back(digest(response));
+        answers[static_cast<size_t>(request.id)] = digest(response);
       }
       const double wall_seconds = wall.ElapsedSeconds();
       if (rep == 0 || wall_seconds < serial.wall_seconds) {
@@ -175,6 +185,7 @@ int Run(int argc, char** argv) {
     }
     report.AddCase("serial", serial.latency, obs::CountersSince(before),
                    obs::HistogramsSince(histograms_before));
+    checks.push_back(std::move(answers));
   }
 
   // Concurrent clients submitting through a batcher. Client c owns
@@ -182,10 +193,9 @@ int Run(int argc, char** argv) {
   // round-trip; with per_submit == 0 each client pipelines its whole
   // slice into one Execute (what the server does with buffered lines).
   const auto run_clients_via = [&](serve::Batcher& via, size_t per_submit,
-                                   std::string* first_digest) {
+                                   Answers* answers) {
     CaseResult result;
     std::vector<std::vector<double>> samples(clients);
-    std::vector<std::string> digests(clients);
     Stopwatch wall;
     std::vector<std::thread> workers;
     workers.reserve(clients);
@@ -209,7 +219,8 @@ int Run(int argc, char** argv) {
           // together: each experienced the group's latency.
           for (size_t g = 0; g < group.size(); ++g) {
             samples[c].push_back(elapsed);
-            if (group[g].id == 0) digests[c] = digest(responses[g]);
+            (*answers)[static_cast<size_t>(group[g].id)] =
+                digest(responses[g]);
           }
         }
       });
@@ -221,13 +232,10 @@ int Run(int argc, char** argv) {
       merged.insert(merged.end(), s.begin(), s.end());
     }
     result.latency = SummarizeSamples(merged);
-    for (const std::string& d : digests) {
-      if (!d.empty()) *first_digest = d;
-    }
     return result;
   };
-  const auto run_clients = [&](size_t per_submit, std::string* first_digest) {
-    return run_clients_via(batcher, per_submit, first_digest);
+  const auto run_clients = [&](size_t per_submit, Answers* answers) {
+    return run_clients_via(batcher, per_submit, answers);
   };
 
   // Repeats a client case, keeping the fastest run. `warm_cache` keeps
@@ -236,17 +244,17 @@ int Run(int argc, char** argv) {
   const auto measure_clients = [&](size_t per_submit, bool warm_cache,
                                    const std::string& name) {
     CaseResult best;
-    std::string case_digest;
+    Answers case_answers(queries);
     obs::MetricsSnapshot before = obs::SnapshotCounters();
     obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
     for (size_t rep = 0; rep < repeats; ++rep) {
-      const CaseResult result = run_clients(per_submit, &case_digest);
+      const CaseResult result = run_clients(per_submit, &case_answers);
       if (rep == 0 || result.wall_seconds < best.wall_seconds) best = result;
       if (!warm_cache) cache.Clear();
     }
     report.AddCase(name, best.latency, obs::CountersSince(before),
                    obs::HistogramsSince(histograms_before));
-    checks.push_back(case_digest);
+    checks.push_back(case_answers);
     return best;
   };
 
@@ -256,11 +264,11 @@ int Run(int argc, char** argv) {
   {
     // Leave the final batched run's answers in the cache, then re-ask the
     // same pipelined submissions: every answer is a cache hit.
-    std::string case_digest;
+    Answers case_answers(queries);
     obs::MetricsSnapshot before = obs::SnapshotCounters();
     obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
     for (size_t rep = 0; rep < repeats; ++rep) {
-      const CaseResult result = run_clients(0, &case_digest);
+      const CaseResult result = run_clients(0, &case_answers);
       if (rep == 0 || result.wall_seconds < batched.wall_seconds) {
         batched = result;
       }
@@ -268,19 +276,19 @@ int Run(int argc, char** argv) {
     }
     report.AddCase("batched", batched.latency, obs::CountersSince(before),
                    obs::HistogramsSince(histograms_before));
-    checks.push_back(case_digest);
+    checks.push_back(case_answers);
 
     before = obs::SnapshotCounters();
     histograms_before = obs::SnapshotHistograms();
     for (size_t rep = 0; rep < repeats; ++rep) {
-      const CaseResult result = run_clients(0, &case_digest);
+      const CaseResult result = run_clients(0, &case_answers);
       if (rep == 0 || result.wall_seconds < cached.wall_seconds) {
         cached = result;
       }
     }
     report.AddCase("cached", cached.latency, obs::CountersSince(before),
                    obs::HistogramsSince(histograms_before));
-    checks.push_back(case_digest);
+    checks.push_back(case_answers);
   }
 
   // --- sharded: the batched case against scatter/gather stores. The
@@ -292,20 +300,20 @@ int Run(int argc, char** argv) {
     serve::DatasetStore shard_store(shard_count);
     shard_store.Register("bench", data, {band});
     serve::QueryEngine shard_engine(&shard_store, nullptr, threads);
-    serve::Batcher shard_batcher(&shard_engine);
+    serve::Batcher shard_batcher(runs_on(shard_engine));
     const std::string name = "sharded" + std::to_string(shard_count);
     CaseResult best;
-    std::string case_digest;
+    Answers case_answers(queries);
     obs::MetricsSnapshot before = obs::SnapshotCounters();
     obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
     for (size_t rep = 0; rep < repeats; ++rep) {
       const CaseResult result =
-          run_clients_via(shard_batcher, 0, &case_digest);
+          run_clients_via(shard_batcher, 0, &case_answers);
       if (rep == 0 || result.wall_seconds < best.wall_seconds) best = result;
     }
     report.AddCase(name, best.latency, obs::CountersSince(before),
                    obs::HistogramsSince(histograms_before));
-    checks.push_back(case_digest);
+    checks.push_back(case_answers);
     sharded.emplace_back(shard_count, best);
   }
 
@@ -349,13 +357,13 @@ int Run(int argc, char** argv) {
 
       const std::string name = "router" + std::to_string(shard_count);
       CaseResult best;
-      std::string case_digest;
+      Answers case_answers(queries);
       bool have_best = false;
       obs::MetricsSnapshot before = obs::SnapshotCounters();
       obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
       for (size_t rep = 0; rep < repeats; ++rep) {
         std::vector<std::vector<double>> samples(clients);
-        std::vector<std::string> digests(clients);
+        std::vector<std::string> replies(queries);
         std::atomic<bool> broken{false};
         Stopwatch wall;
         std::vector<std::thread> senders;
@@ -389,21 +397,22 @@ int Run(int argc, char** argv) {
                 broken = true;
                 return;
               }
-              if (slice[at] == 0) {
-                serve::ServeResponse parsed;
-                std::string parse_error;
-                if (!serve::ParseResponseLine(line, &parsed, &parse_error) ||
-                    !parsed.ok) {
-                  broken = true;
-                  return;
-                }
-                digests[c] = digest(parsed);
-              }
+              replies[slice[at]] = std::move(line);
             }
             samples[c].assign(slice.size(), watch.ElapsedSeconds());
           });
         }
         for (std::thread& sender : senders) sender.join();
+        // Parsed after the clock stops, so the check costs no throughput.
+        for (size_t i = 0; i < queries && !broken; ++i) {
+          serve::ServeResponse parsed;
+          std::string parse_error;
+          if (!serve::ParseResponseLine(replies[i], &parsed, &parse_error) ||
+              !parsed.ok) {
+            broken = true;
+          }
+          case_answers[i] = digest(parsed);
+        }
         if (broken) {
           std::fprintf(stderr, "FATAL: %s round trip failed\n", name.c_str());
           return 1;
@@ -415,9 +424,6 @@ int Run(int argc, char** argv) {
           merged.insert(merged.end(), s.begin(), s.end());
         }
         result.latency = SummarizeSamples(merged);
-        for (const std::string& d : digests) {
-          if (!d.empty()) case_digest = d;
-        }
         if (!have_best || result.wall_seconds < best.wall_seconds) {
           best = result;
           have_best = true;
@@ -425,7 +431,7 @@ int Run(int argc, char** argv) {
       }
       report.AddCase(name, best.latency, obs::CountersSince(before),
                      obs::HistogramsSince(histograms_before));
-      checks.push_back(case_digest);
+      checks.push_back(case_answers);
       routed.emplace_back(shard_count, best);
 
       router.RequestShutdown();
@@ -476,7 +482,7 @@ int Run(int argc, char** argv) {
       const double elapsed = watch.ElapsedSeconds();
       if (rep == 0 || elapsed < restore_seconds) restore_seconds = elapsed;
     }
-    // The restored store must answer query 0 with the same bits.
+    // The restored store must answer every query with the same bits.
     serve::DatasetIndex index;
     serve::DatasetStore restored(1);
     if (!serve::LoadSnapshot(snap_path, &index, nullptr, &error)) {
@@ -485,16 +491,24 @@ int Run(int argc, char** argv) {
     }
     restored.RegisterIndex("bench", std::move(index));
     serve::QueryEngine restored_engine(&restored, nullptr, 1);
-    checks.push_back(digest(restored_engine.Run(requests[0])));
+    Answers restored_answers(queries);
+    for (const serve::ServeRequest& request : requests) {
+      restored_answers[static_cast<size_t>(request.id)] =
+          digest(restored_engine.Run(request));
+    }
+    checks.push_back(std::move(restored_answers));
     std::remove(ucr_path.c_str());
     std::remove(snap_path.c_str());
   }
 
   for (size_t i = 1; i < checks.size(); ++i) {
-    if (checks[i] != checks[0]) {
-      std::fprintf(stderr, "FATAL: case %zu answer diverged: %s vs %s\n", i,
-                   checks[i].c_str(), checks[0].c_str());
-      return 1;
+    for (size_t q = 0; q < queries; ++q) {
+      if (checks[i][q] != checks[0][q]) {
+        std::fprintf(stderr,
+                     "FATAL: case %zu query %zu answer diverged: %s vs %s\n",
+                     i, q, checks[i][q].c_str(), checks[0][q].c_str());
+        return 1;
+      }
     }
   }
 

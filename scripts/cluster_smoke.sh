@@ -13,8 +13,8 @@
 #     answer ok with partial:true and the dead shard in shards_missing —
 #     with no hangs or crashes;
 #   * after the supervisor restarts the worker, the full mix is again
-#     byte-identical to the golden, and the cluster's merged stats report
-#     the restart;
+#     byte-identical to the golden, the cluster's merged stats report
+#     the restart, and its merged metrics pass scripts/check_metrics.py;
 #   * `shutdown` stops the whole cluster with exit code 0.
 #
 # Usage: scripts/cluster_smoke.sh [BUILD_DIR]   (default: build)
@@ -162,6 +162,12 @@ grep -q '"cluster_worker_restarts":' "$WORK/stats.txt" \
     || fail "stats missing cluster_worker_restarts"
 grep -q '"cluster_partial_replies":' "$WORK/stats.txt" \
     || fail "stats missing cluster_partial_replies"
+
+# The merged exposition must be as well-formed as a single server's.
+echo '{"id": 10, "op": "metrics"}' | "$CLI" query --port="$PORT" \
+    > "$WORK/metrics.txt" || fail "cluster metrics failed"
+python3 "$ROOT/scripts/check_metrics.py" "$WORK/metrics.txt" \
+    || fail "cluster warp-metrics-v1 invalid"
 
 # --- Clean shutdown of the whole cluster ------------------------------------
 echo '{"id": 99, "op": "shutdown"}' | "$CLI" query --port="$PORT" \

@@ -6,7 +6,7 @@
 # `warp_cli query`, and asserts:
 #   * the server comes up and answers ping/info/stats;
 #   * the `metrics` op emits schema-valid warp-metrics-v1 text (validated
-#     line-by-line by an inline python3 checker: sample-line grammar,
+#     line-by-line by scripts/check_metrics.py: sample-line grammar,
 #     cumulative buckets, +Inf == _count) and `slowlog` drains cleanly;
 #   * query answers are deterministic (the same request twice, one cold
 #     and one from the result cache, yields byte-identical responses);
@@ -100,65 +100,8 @@ echo '{"id": 3, "op": "1nn", "dataset": "smoke", "query": '"$QUERY"'}' \
 # --- Metrics exposition + slowlog -------------------------------------------
 echo '{"id": 6, "op": "metrics"}' | "$CLI" query --port="$PORT" \
     > "$WORK/metrics.txt" || fail "metrics request failed"
-python3 - "$WORK/metrics.txt" << 'PYEOF' || fail "warp-metrics-v1 invalid"
-import json
-import re
-import sys
-
-with open(sys.argv[1], encoding="utf-8") as handle:
-    response = json.loads(handle.read())
-assert response["ok"], response
-assert response["op"] == "metrics", response
-assert response["format"] == "warp-metrics-v1", response
-
-lines = response["body"].splitlines()
-assert lines[0] == "# warp-metrics-v1", lines[0]
-
-SAMPLE = re.compile(
-    r'^(warp_[a-z0-9_]+?)'
-    r'(_total|_sum|_count|_bucket\{le="(?:\+Inf|[0-9]+)"\})? (-?[0-9]+)$')
-TYPE = re.compile(r"^# TYPE (warp_[a-z0-9_]+) (counter|gauge|histogram)$")
-
-families = {}   # name -> declared type
-samples = {}    # full sample name (with label) -> value
-for line in lines[1:]:
-    if line.startswith("#"):
-        match = TYPE.match(line)
-        assert match, f"bad comment line: {line!r}"
-        families[match.group(1)] = match.group(2)
-        continue
-    match = SAMPLE.match(line)
-    assert match, f"bad sample line: {line!r}"
-    samples[line.rsplit(" ", 1)[0]] = int(match.group(3))
-
-assert "warp_serve_requests" in families, sorted(families)
-assert "warp_serve_open_connections" in families, sorted(families)
-assert "warp_serve_result_cache_hits" in families, sorted(families)
-assert families.get("warp_serve_latency_1nn_us") == "histogram", families
-
-for name, kind in families.items():
-    if kind == "counter":
-        assert samples[name + "_total"] >= 0, name
-    elif kind == "gauge":
-        assert name in samples, name
-    else:  # histogram: cumulative buckets, +Inf == _count.
-        count = samples[name + "_count"]
-        assert samples[name + '_bucket{le="+Inf"}'] == count, name
-        bounds = []
-        for sample, value in samples.items():
-            match = re.match(re.escape(name) + r'_bucket\{le="([0-9]+)"\}$',
-                             sample)
-            if match:
-                bounds.append((int(match.group(1)), value))
-        bounds.sort()
-        cumulative = 0
-        for _, value in bounds:
-            assert value >= cumulative, f"{name}: non-cumulative buckets"
-            cumulative = value
-        assert cumulative <= count, name
-print(f"smoke: warp-metrics-v1 OK "
-      f"({len(families)} families, {len(samples)} samples)")
-PYEOF
+python3 "$ROOT/scripts/check_metrics.py" "$WORK/metrics.txt" \
+    || fail "warp-metrics-v1 invalid"
 
 echo '{"id": 7, "op": "slowlog"}' | "$CLI" query --port="$PORT" \
     > "$WORK/slowlog.txt" || fail "slowlog request failed"

@@ -2,17 +2,18 @@
 // protocol to clients, scattering every query to the shard workers and
 // gathering their sub-scans into answers that are BITWISE-identical to a
 // single-process `--shards=N` server (docs/SERVING.md, "Multi-process
-// cluster").
+// cluster"). It is a serve::FrontEnd like the single-process server, so
+// it shares its connection loop, its batcher (group commit, and the
+// --max-queue-depth admission gate) and its reply formats; only the
+// executor (scatter/gather) and the control-op answers are its own.
 //
 // Determinism contract, layer by layer:
 //   * every sub-scan is stamped ("shard":K, "shard_epoch":E) via
 //     FormatRequest, and a worker refuses mis-routed or stale work, so an
 //     answer can only ever be assembled from the pinned partition;
-//   * 1nn/knn gather merges the workers' per-shard top-k lists in shard
-//     order under the strict (distance, index) order — a set property
-//     that reproduces the single process's shard-major chunk merge;
-//   * range hits are concatenated and re-sorted by global index, exactly
-//     the single process's final sort;
+//   * the workers' per-shard hit lists merge through the engine's own
+//     gather (serve::GatherNeighbors), so the merge cannot drift from
+//     the single process's shard-major chunk merge;
 //   * dist/subsequence go only to the owning shard
 //     (ShardRouter::Partition) and the reply is relayed field-for-field;
 //   * doubles cross the wire via FormatDouble <-> strtod, so every
@@ -23,15 +24,17 @@
 // from the remaining shards with `partial:true` and `shards_missing:[K]`
 // (never cached by workers, so recovery is clean); dist/subsequence
 // targeting the dead shard fail fast with an error. Stats, metrics, and
-// slowlog fan out to every live worker and merge order-independently
-// (counter sums, bucket-wise histogram merges).
+// slowlog fan out to every live worker; their replies parse into typed
+// readings (serve/replies.h) that sum with the router's own.
 
 #ifndef WARP_CLUSTER_ROUTER_H_
 #define WARP_CLUSTER_ROUTER_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
+
+#include "warp/serve/front_end.h"
 
 namespace warp {
 namespace cluster {
@@ -44,30 +47,23 @@ struct RouterOptions {
   int gather_timeout_ms = 60000;   // Max wait per sub-scan reply line.
 };
 
-// Accepts client connections and serves them against the supervisor's
-// workers. Start() binds the listener; Serve() blocks in the accept loop
-// until a client sends `shutdown` or RequestShutdown() is called.
-class Router {
+// Serves client connections against the supervisor's workers; the
+// batcher's admission gate takes the supervisor's max_queue_depth, the
+// same bound every worker applies.
+class Router : public serve::FrontEnd {
  public:
   Router(const RouterOptions& options, Supervisor* supervisor);
-  ~Router();
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  bool Start(std::string* error);
-  int port() const;
-  void Serve();
-  void RequestShutdown();
+  ~Router() override;
 
  private:
+  void ExecuteQueries(const std::vector<serve::ServeRequest>& requests,
+                      std::vector<serve::ServeResponse>* responses) override;
+  std::string HandleControl(const serve::ParsedLine& parsed,
+                            const std::string& line) override;
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Start + the "listening"/"ready port=" stdout lines + Serve, mirroring
-// serve::RunServer. Returns a process exit code.
-int RunRouter(Router* router);
 
 }  // namespace cluster
 }  // namespace warp

@@ -75,6 +75,7 @@ class Supervisor {
   void DisableRestarts();
 
   size_t shards() const { return options_.shards; }
+  size_t max_queue_depth() const { return options_.max_queue_depth; }
   WorkerStatus Status(size_t shard) const;
   std::vector<WorkerStatus> StatusAll() const;
 

@@ -1,6 +1,9 @@
 #include "warp/obs/exposition.h"
 
+#include <charconv>
 #include <cstdio>
+#include <map>
+#include <utility>
 
 namespace warp {
 namespace obs {
@@ -52,6 +55,20 @@ void AppendHistogram(std::string* out, const std::string& name,
   AppendLine(out, name + "_count", data.count);
 }
 
+// Removes sample `name` from `samples` and parses its integer value.
+template <typename Int>
+bool TakeSample(std::map<std::string, std::string>* samples,
+                const std::string& name, Int* value) {
+  const auto it = samples->find(name);
+  if (it == samples->end()) return false;
+  const std::string& text = it->second;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *value);
+  const bool ok = ec == std::errc() && end == text.data() + text.size();
+  samples->erase(it);
+  return ok;
+}
+
 }  // namespace
 
 std::string RenderMetricsText(const MetricsSnapshot& counters,
@@ -101,6 +118,98 @@ std::string RenderMetricsText(const MetricsSnapshot& counters,
   }
 
   return out;
+}
+
+bool ParseMetricsText(const std::string& text, MetricsSnapshot* counters,
+                      HistogramSnapshot* histograms, GaugeSnapshot* gauges,
+                      std::vector<ExpositionExtra>* extras,
+                      std::string* error) {
+  const std::string header = "# warp-metrics-v1\n";
+  if (text.compare(0, header.size(), header) != 0) {
+    *error = "not a warp-metrics-v1 document";
+    return false;
+  }
+  std::map<std::string, std::string> samples;  // Sample name -> value.
+  std::vector<std::pair<std::string, std::string>> families;  // Name, type.
+  for (size_t pos = header.size(); pos < text.size();) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(pos, end - pos);
+    pos = end + 1;
+    const size_t space = line.rfind(' ');
+    if (space == std::string::npos || space == 0) {
+      *error = "malformed line: '" + line + "'";
+      return false;
+    }
+    if (line.compare(0, 7, "# TYPE ") == 0) {
+      families.emplace_back(line.substr(7, space - 7), line.substr(space + 1));
+    } else {
+      samples[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+
+  // The registries first, in the order the renderer writes them; each
+  // consumed sample leaves the map, so the TYPE lines whose samples are
+  // still there afterwards are exactly the extras.
+  const auto missing = [&](const std::string& name) {
+    *error = "missing or malformed samples of '" + name + "'";
+    return false;
+  };
+  *counters = MetricsSnapshot{};
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const std::string name = std::string("warp_") +
+                             CounterName(static_cast<Counter>(i)) + "_total";
+    if (!TakeSample(&samples, name, &counters->values[i])) {
+      return missing(name);
+    }
+  }
+  *gauges = GaugeSnapshot{};
+  for (size_t i = 0; i < kNumGauges; ++i) {
+    const std::string name =
+        std::string("warp_") + GaugeName(static_cast<Gauge>(i));
+    if (!TakeSample(&samples, name, &gauges->values[i])) return missing(name);
+  }
+  *histograms = HistogramSnapshot{};
+  for (size_t h = 0; h < kNumHistograms; ++h) {
+    const std::string name =
+        std::string("warp_") + HistogramName(static_cast<Histogram>(h));
+    HistogramData& data = histograms->series[h];
+    uint64_t below = 0;  // Cumulative count of the buckets already read.
+    for (size_t i = 0; i < kHistogramBuckets; ++i) {
+      uint64_t cumulative = 0;
+      if (!TakeSample(&samples,
+                      name + "_bucket{le=\"" +
+                          std::to_string(HistogramBucketBound(i)) + "\"}",
+                      &cumulative)) {
+        break;
+      }
+      data.buckets[i] = cumulative - below;
+      below = cumulative;
+    }
+    uint64_t infinite = 0;
+    if (!TakeSample(&samples, name + "_bucket{le=\"+Inf\"}", &infinite) ||
+        !TakeSample(&samples, name + "_sum", &data.sum) ||
+        !TakeSample(&samples, name + "_count", &data.count) ||
+        infinite != data.count) {
+      return missing(name);
+    }
+  }
+
+  extras->clear();
+  for (const auto& [family, type] : families) {
+    const bool is_counter = type == "counter";
+    int64_t value = 0;
+    if (family.compare(0, 5, "warp_") == 0 && type != "histogram" &&
+        TakeSample(&samples, is_counter ? family + "_total" : family,
+                   &value)) {
+      extras->push_back({family.substr(5), is_counter, value});
+    }
+  }
+  if (!samples.empty()) {
+    *error = "unexpected sample '" + samples.begin()->first + "'";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace obs

@@ -61,6 +61,15 @@ std::string RenderMetricsText(const MetricsSnapshot& counters,
                               const GaugeSnapshot& gauges,
                               const std::vector<ExpositionExtra>& extras);
 
+// The inverse of RenderMetricsText: fills the snapshots and `extras` (in
+// document order) from a warp-metrics-v1 document. Strict — any sample
+// the renderer would not have written, or a missing registry sample, is
+// refused with false and *error — so Render(Parse(text)) == text.
+bool ParseMetricsText(const std::string& text, MetricsSnapshot* counters,
+                      HistogramSnapshot* histograms, GaugeSnapshot* gauges,
+                      std::vector<ExpositionExtra>* extras,
+                      std::string* error);
+
 }  // namespace obs
 }  // namespace warp
 

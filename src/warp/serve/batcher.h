@@ -1,16 +1,21 @@
-// Request batching: coalesces concurrent queries into engine batches.
+// Request batching: coalesces concurrent queries into executor batches.
 //
-// Connection handlers (one per client) block in Execute(); a single
-// dispatcher thread drains EVERY submission pending at that moment into
-// one QueryEngine::RunBatch call. Queries that arrive while a batch is in
-// flight pile up and form the next batch — the classic group-commit
-// shape. The engine groups each batch by dataset, so concurrent clients
-// hammering the same dataset share its snapshot resolution and fan out
-// over one ParallelFor instead of queueing pool round-trips per request.
+// Connection handlers (one per client) block in Execute(). A submitter
+// that finds no batch in flight leads: it drains EVERY submission pending
+// at that moment (its own included) into one executor call on its own
+// thread, answers them all, and hands the lead to the oldest submission
+// that arrived meanwhile. Queries that arrive while a batch is in flight
+// pile up and form the next batch — the classic group-commit shape,
+// without a dispatcher thread between a lone client and its answer. The
+// executor is the seam between the front end and whatever answers
+// queries: a server passes QueryEngine::RunBatch (which groups each batch
+// by dataset, so concurrent clients share snapshot resolution and one
+// ParallelFor), the cluster router passes its scatter/gather to the shard
+// workers.
 //
-// The dispatcher is the engine's single orchestrator: Execute() never
-// touches the engine from the submitting thread, so the ThreadPool's
-// one-orchestrator contract holds no matter how many connections submit.
+// At most one batch is in flight, so the executor has one caller at a
+// time and the ThreadPool's one-orchestrator contract holds no matter
+// how many connections submit.
 
 #ifndef WARP_SERVE_BATCHER_H_
 #define WARP_SERVE_BATCHER_H_
@@ -18,12 +23,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "warp/common/stopwatch.h"
-#include "warp/serve/query_engine.h"
 #include "warp/serve/request.h"
 
 namespace warp {
@@ -31,15 +35,17 @@ namespace serve {
 
 class Batcher {
  public:
-  // `engine` must outlive the batcher. Starts the dispatcher thread.
+  // Answers one batch: fills one response per request, in order.
+  using Executor = std::function<void(const std::vector<ServeRequest>& requests,
+                                      std::vector<ServeResponse>* responses)>;
+
   // `max_queue_depth` bounds the number of submissions (client
   // pipelines, not individual requests) waiting for adoption; 0 means
   // unbounded. A submission arriving at a full queue is shed
   // immediately — every response comes back ok:false,
   // error:"overloaded" — so one slow scan cannot back up the world
   // (admission bounds time-in-queue; deadlines bound time-in-engine).
-  explicit Batcher(QueryEngine* engine, size_t max_queue_depth = 0);
-  ~Batcher();
+  explicit Batcher(Executor executor, size_t max_queue_depth = 0);
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
@@ -63,26 +69,27 @@ class Batcher {
   struct Submission {
     const std::vector<ServeRequest>* requests = nullptr;
     std::vector<ServeResponse>* responses = nullptr;
-    // Queue-wait clock: started at submit, read when the dispatcher
-    // assembles the batch containing this submission.
+    // Queue-wait clock: started at submit, read when a leader adopts
+    // this submission into its batch.
     Stopwatch queued;
     // Per-submission signal (not one shared cv) so completing a batch
-    // wakes exactly its submitters, not every connection in the house.
+    // wakes exactly its submitters (and the next leader), not every
+    // connection in the house.
     std::condition_variable cv;
     bool done = false;
   };
 
-  void DispatchLoop();
+  // Runs every pending submission as one batch; `lock` holds mutex_ on
+  // entry and exit but not while the executor runs.
+  void RunBatch(std::unique_lock<std::mutex>& lock);
 
-  QueryEngine* const engine_;
+  const Executor executor_;
   const size_t max_queue_depth_;
   mutable std::mutex mutex_;
-  std::condition_variable pending_cv_;  // Signals the dispatcher.
   std::deque<Submission*> pending_;
+  bool running_ = false;  // A leader is running a batch.
   uint64_t batches_ = 0;
   uint64_t shed_ = 0;
-  bool stop_ = false;
-  std::thread dispatcher_;
 };
 
 }  // namespace serve

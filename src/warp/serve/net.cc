@@ -188,27 +188,7 @@ void TcpListener::Close() {
 }
 
 TcpConn ConnectLoopback(int port, std::string* error) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return TcpConn();
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  int rc;
-  do {
-    rc = connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    *error = std::string("connect 127.0.0.1:") + std::to_string(port) + ": " +
-             std::strerror(errno);
-    close(fd);
-    return TcpConn();
-  }
-  SetNoDelay(fd);
-  return TcpConn(fd);
+  return ConnectLoopbackTimeout(port, /*timeout_ms=*/-1, error);
 }
 
 TcpConn ConnectLoopbackTimeout(int port, int timeout_ms,

@@ -38,13 +38,6 @@ double PointCost(double a, double b, CostKind kind) {
   return kind == CostKind::kAbsolute ? std::fabs(d) : d * d;
 }
 
-// (distance, index) lexicographic order: the scan's total order. Ties on
-// distance go to the earlier series, matching a serial first-wins scan.
-bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
-}
-
 // Per-request deadline state shared across scan workers. `expired` is
 // monotone: once set, chunks stop scanning new candidates (their already
 // scanned prefix stays in the merge, so the partial answer is exact over
@@ -89,14 +82,6 @@ struct SharedBound {
 struct ChunkHits {
   std::vector<Neighbor> hits;  // Sorted by NeighborLess for top-k mode.
   uint64_t scanned = 0;
-
-  void AddTopK(const Neighbor& n, size_t k) {
-    const auto pos =
-        std::lower_bound(hits.begin(), hits.end(), n, NeighborLess);
-    if (hits.size() == k && pos == hits.end()) return;
-    hits.insert(pos, n);
-    if (hits.size() > k) hits.pop_back();
-  }
 
   double KthBound(size_t k) const {
     return hits.size() == k ? hits.back().distance : kInf;
@@ -209,16 +194,6 @@ struct QueryEngine::Impl {
     }
   };
 
-  static ServeResponse ErrorResponse(const ServeRequest& request,
-                                     std::string message) {
-    ServeResponse response;
-    response.id = request.id;
-    response.op = request.op;
-    response.ok = false;
-    response.error = std::move(message);
-    return response;
-  }
-
   // Request-wide validation shared by Run and RunBatch. Returns true and
   // fills *snapshot on success, else fills *failure.
   bool Resolve(const ServeRequest& request,
@@ -309,11 +284,6 @@ struct QueryEngine::Impl {
     const long band = std::lround(request.params.window_fraction *
                                   static_cast<double>(longer));
     return band < 0 ? 0 : static_cast<size_t>(band);
-  }
-
-  static bool IsScanOp(QueryOp op) {
-    return op == QueryOp::k1Nn || op == QueryOp::kKnn ||
-           op == QueryOp::kRange;
   }
 
   ServeResponse Execute(const ServeRequest& request,
@@ -521,19 +491,15 @@ struct QueryEngine::Impl {
           out.hits.push_back({global, shard.data[i].label(), distance});
         }
       } else {
-        out.AddTopK({global, shard.data[i].label(), distance}, plan.k);
+        AddTopK(&out.hits, {global, shard.data[i].label(), distance}, plan.k);
         if (plan.k == 1) plan.shared.Lower(distance);
       }
     }
   }
 
   // Chunk-order gather merge on the calling thread: deterministic at any
-  // thread count and identical between the candidate-parallel and
-  // flattened batch paths. Shard-layout-independent too: top-k merging
-  // selects the k smallest under the strict (distance, index) order (a
-  // set property), and range hits are re-sorted into global index order
-  // below (a no-op at 1 shard, where chunk concatenation is already
-  // index-ordered).
+  // thread count, identical between the candidate-parallel and flattened
+  // batch paths, and independent of the shard layout (GatherNeighbors).
   ServeResponse MergeScan(ScanPlan& plan) {
     const Stopwatch merge_watch;
     const ServeRequest& request = *plan.request;
@@ -559,28 +525,15 @@ struct QueryEngine::Impl {
       if (slice.shard->size() > 0) ++shard_scans;
     }
     WARP_COUNT_ADD(obs::Counter::kServeShardScans, shard_scans);
-    if (plan.is_range) {
-      for (ChunkHits& chunk : plan.chunks) {
-        response.neighbors.insert(response.neighbors.end(),
-                                  chunk.hits.begin(), chunk.hits.end());
-      }
-      std::sort(response.neighbors.begin(), response.neighbors.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  return a.index < b.index;
-                });
-    } else {
-      ChunkHits merged;
-      for (const ChunkHits& chunk : plan.chunks) {
-        for (const Neighbor& n : chunk.hits) merged.AddTopK(n, plan.k);
-      }
-      response.neighbors = std::move(merged.hits);
-    }
+    std::vector<const std::vector<Neighbor>*> parts;
+    parts.reserve(plan.chunks.size());
+    for (const ChunkHits& chunk : plan.chunks) parts.push_back(&chunk.hits);
+    response.neighbors = GatherNeighbors(request, parts);
     response.trace.engine_us =
         static_cast<double>(
             plan.engine_nanos.load(std::memory_order_relaxed)) *
         1e-3;
     response.trace.cells = plan.dtw_cells.load(std::memory_order_relaxed);
-    response.trace.cache_us = plan.cache_us;
     response.trace.merge_us = merge_watch.ElapsedMicros();
     return response;
   }
@@ -660,25 +613,40 @@ struct QueryEngine::Impl {
     }
   }
 
-  ServeResponse RunOne(const ServeRequest& request,
-                       const std::shared_ptr<const StoredDataset>& snapshot,
-                       const ExecContext& ctx) {
-    const std::string key = CacheKey(request, snapshot->epoch);
+  // Result-cache probe: on a hit fills *response (finished) and returns
+  // true; on a miss fills *key and the lookup's *cache_us for the insert.
+  bool Probe(const ServeRequest& request, const StoredDataset& snapshot,
+             std::string* key, double* cache_us, ServeResponse* response) {
+    *key = CacheKey(request, snapshot.epoch);
     const Stopwatch lookup;
-    ServeResponse response;
-    if (cache != nullptr && cache->Lookup(key, &response)) {
-      response.id = request.id;
-      response.trace.from_cache = true;
-      response.trace.cache_us = lookup.ElapsedMicros();
-      FinishQuery(request, &response);
-      return response;
+    if (cache != nullptr && cache->Lookup(*key, response)) {
+      response->id = request.id;
+      response->trace.from_cache = true;
+      response->trace.cache_us = lookup.ElapsedMicros();
+      FinishQuery(request, response);
+      return true;
     }
-    const double cache_us = cache != nullptr ? lookup.ElapsedMicros() : 0.0;
-    response = Execute(request, *snapshot, ctx);
+    *cache_us = cache != nullptr ? lookup.ElapsedMicros() : 0.0;
+    return false;
+  }
+
+  // Caches and finishes a computed answer.
+  ServeResponse Finish(const ServeRequest& request, const std::string& key,
+                       double cache_us, ServeResponse response) {
     response.trace.cache_us = cache_us;
     if (cache != nullptr) cache->Insert(key, response);
     FinishQuery(request, &response);
     return response;
+  }
+
+  ServeResponse RunOne(const ServeRequest& request,
+                       const std::shared_ptr<const StoredDataset>& snapshot,
+                       const ExecContext& ctx) {
+    std::string key;
+    double cache_us = 0.0;
+    ServeResponse response;
+    if (Probe(request, *snapshot, &key, &cache_us, &response)) return response;
+    return Finish(request, key, cache_us, Execute(request, *snapshot, ctx));
   }
 };
 
@@ -757,40 +725,25 @@ void QueryEngine::RunBatch(const std::vector<ServeRequest>& requests,
     // ones fans out as well as 32 equal ones). Chunk boundaries, merges,
     // and pruning rules are exactly those of the single-request path, so
     // every response is bitwise-identical to Run() on its own.
+    Impl::ExecContext pool_ctx;
+    pool_ctx.pool = impl_->pool.get();
     std::vector<std::unique_ptr<Impl::ScanPlan>> plans;
     for (const auto& [r, snap] : runnable) {
       const ServeRequest& request = requests[r];
-      const std::string key = CacheKey(request, snap->epoch);
-      const Stopwatch lookup;
-      ServeResponse hit;
-      if (impl_->cache != nullptr && impl_->cache->Lookup(key, &hit)) {
-        hit.id = request.id;
-        hit.trace.from_cache = true;
-        hit.trace.cache_us = lookup.ElapsedMicros();
-        impl_->FinishQuery(request, &hit);
-        (*responses)[r] = std::move(hit);
+      if (!IsScanOp(request.op)) {
+        (*responses)[r] = impl_->RunOne(request, snap, pool_ctx);
         continue;
       }
-      const double cache_us =
-          impl_->cache != nullptr ? lookup.ElapsedMicros() : 0.0;
-      if (Impl::IsScanOp(request.op)) {
-        std::unique_ptr<Impl::ScanPlan> plan =
-            impl_->PrepareScan(request, *snap);
-        plan->slot = r;
-        plan->cache_key = key;
-        plan->cache_us = cache_us;
-        plans.push_back(std::move(plan));
-      } else {
-        Impl::ExecContext ctx;
-        ctx.pool = impl_->pool.get();
-        ServeResponse response = impl_->Execute(request, *snap, ctx);
-        response.trace.cache_us = cache_us;
-        if (impl_->cache != nullptr) {
-          impl_->cache->Insert(key, response);
-        }
-        impl_->FinishQuery(request, &response);
-        (*responses)[r] = std::move(response);
+      std::string key;
+      double cache_us = 0.0;
+      if (impl_->Probe(request, *snap, &key, &cache_us, &(*responses)[r])) {
+        continue;
       }
+      std::unique_ptr<Impl::ScanPlan> plan = impl_->PrepareScan(request, *snap);
+      plan->slot = r;
+      plan->cache_key = std::move(key);
+      plan->cache_us = cache_us;
+      plans.push_back(std::move(plan));
     }
     if (plans.empty()) continue;
 
@@ -798,16 +751,11 @@ void QueryEngine::RunBatch(const std::vector<ServeRequest>& requests,
     for (const std::unique_ptr<Impl::ScanPlan>& plan : plans) {
       Impl::AppendUnits(plan.get(), &units);
     }
-    Impl::ExecContext scan_ctx;
-    scan_ctx.pool = impl_->pool.get();
-    impl_->RunUnits(units, scan_ctx);
+    impl_->RunUnits(units, pool_ctx);
     for (const std::unique_ptr<Impl::ScanPlan>& plan : plans) {
-      ServeResponse response = impl_->MergeScan(*plan);
-      if (impl_->cache != nullptr) {
-        impl_->cache->Insert(plan->cache_key, response);
-      }
-      impl_->FinishQuery(*plan->request, &response);
-      (*responses)[plan->slot] = std::move(response);
+      (*responses)[plan->slot] =
+          impl_->Finish(*plan->request, plan->cache_key, plan->cache_us,
+                        impl_->MergeScan(*plan));
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "warp/serve/request.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace warp {
 namespace serve {
 
@@ -24,6 +27,51 @@ obs::Histogram LatencyHistogramForOp(QueryOp op) {
       return obs::Histogram::kServeLatencySubsequence;
   }
   return obs::Histogram::kServeLatency1nn;
+}
+
+bool IsScanOp(QueryOp op) {
+  return op == QueryOp::k1Nn || op == QueryOp::kKnn || op == QueryOp::kRange;
+}
+
+ServeResponse ErrorResponse(const ServeRequest& request, std::string message) {
+  ServeResponse response;
+  response.id = request.id;
+  response.op = request.op;
+  response.error = std::move(message);
+  return response;
+}
+
+bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.index < b.index;
+}
+
+void AddTopK(std::vector<Neighbor>* hits, const Neighbor& n, size_t k) {
+  const auto pos = std::lower_bound(hits->begin(), hits->end(), n, NeighborLess);
+  if (hits->size() == k && pos == hits->end()) return;
+  hits->insert(pos, n);
+  if (hits->size() > k) hits->pop_back();
+}
+
+std::vector<Neighbor> GatherNeighbors(
+    const ServeRequest& request,
+    const std::vector<const std::vector<Neighbor>*>& parts) {
+  std::vector<Neighbor> hits;
+  if (request.op == QueryOp::kRange) {
+    for (const std::vector<Neighbor>* part : parts) {
+      hits.insert(hits.end(), part->begin(), part->end());
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                return a.index < b.index;
+              });
+    return hits;
+  }
+  const size_t k = request.op == QueryOp::kKnn ? request.k : 1;
+  for (const std::vector<Neighbor>* part : parts) {
+    for (const Neighbor& n : *part) AddTopK(&hits, n, k);
+  }
+  return hits;
 }
 
 bool ParseQueryOp(const std::string& name, QueryOp* op) {

@@ -114,6 +114,28 @@ struct ServeResponse {
   StageTrace trace;
 };
 
+// 1nn, knn and range: the ops that scan every candidate.
+bool IsScanOp(QueryOp op);
+
+// A failed response to `request`: its id and op, ok=false, `message`.
+ServeResponse ErrorResponse(const ServeRequest& request, std::string message);
+
+// The scan total order: (distance, index), so ties on distance go to the
+// earlier series, matching a serial first-wins scan.
+bool NeighborLess(const Neighbor& a, const Neighbor& b);
+
+// Inserts `n` into `hits` (sorted by NeighborLess), keeping the k smallest.
+void AddTopK(std::vector<Neighbor>* hits, const Neighbor& n, size_t k);
+
+// The gather merge of a scan's partial hit lists — the engine's chunks
+// and the router's shards alike: the k smallest under NeighborLess for
+// 1nn/knn (k = 1 for 1nn), every hit sorted by index for range. Top-k
+// selection is a set property and range hits are re-sorted, so the
+// answer does not depend on how candidates were split into `parts`.
+std::vector<Neighbor> GatherNeighbors(
+    const ServeRequest& request,
+    const std::vector<const std::vector<Neighbor>*>& parts);
+
 // The latency histogram a query op records into.
 obs::Histogram LatencyHistogramForOp(QueryOp op);
 

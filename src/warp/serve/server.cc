@@ -1,23 +1,12 @@
 #include "warp/serve/server.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
-#include "warp/obs/exposition.h"
-#include "warp/obs/histogram.h"
 #include "warp/obs/json_writer.h"
-#include "warp/obs/report.h"
-#include "warp/common/metrics.h"
-#include "warp/common/stopwatch.h"
-#include "warp/serve/batcher.h"
-#include "warp/serve/net.h"
-#include "warp/serve/protocol.h"
 #include "warp/serve/query_engine.h"
+#include "warp/serve/replies.h"
 #include "warp/serve/result_cache.h"
 #include "warp/serve/slowlog.h"
 #include "warp/serve/snapshot.h"
@@ -27,9 +16,6 @@ namespace warp {
 namespace serve {
 
 namespace {
-
-// How often the accept loop re-checks the shutdown flag.
-constexpr int kAcceptPollMs = 100;
 
 std::vector<size_t> BandsFromFractions(const std::vector<double>& fractions,
                                        size_t length) {
@@ -54,41 +40,67 @@ struct Server::Impl {
         slowlog(options.slowlog_capacity),
         engine(&store, options.cache_capacity > 0 ? &cache : nullptr,
                options.threads,
-               options.slowlog_capacity > 0 ? &slowlog : nullptr),
-        batcher(&engine, options.max_queue_depth) {}
+               options.slowlog_capacity > 0 ? &slowlog : nullptr) {}
 
-  struct Connection {
-    TcpConn conn;
-    std::thread thread;
-  };
+  std::string HandleControl(const ParsedLine& parsed, int port);
+  ServerReading Reading() const;
 
-  void HandleConnection(Connection* connection);
-  std::string HandleControl(const ParsedLine& parsed);
+  // Registers a UCR file (`fractions` empty = options.band_fractions) or
+  // a warp-snap-v1 file (`name` empty = the stored name). nullptr and
+  // *error on failure, with the store unchanged.
+  std::shared_ptr<const StoredDataset> LoadUcr(
+      const std::string& name, const std::string& path,
+      const std::vector<double>& fractions, std::string* error) {
+    Dataset dataset;
+    if (!LoadUcrFile(path, &dataset, error)) return nullptr;
+    const size_t length = dataset.UniformLength();
+    return store.Register(
+        name, std::move(dataset),
+        BandsFromFractions(
+            fractions.empty() ? options.band_fractions : fractions, length));
+  }
+  std::shared_ptr<const StoredDataset> LoadIndex(const std::string& name,
+                                                 const std::string& path,
+                                                 std::string* error) {
+    DatasetIndex index;
+    SnapshotMeta meta;
+    if (!LoadSnapshot(path, &index, &meta, error)) return nullptr;
+    return store.RegisterIndex(name.empty() ? meta.dataset : name,
+                               std::move(index));
+  }
 
   ServerOptions options;
   DatasetStore store;
   ResultCache cache;
   SlowQueryLog slowlog;
   QueryEngine engine;
-  Batcher batcher;
-  TcpListener listener;
-  std::atomic<bool> shutdown{false};
-
-  std::mutex conn_mutex;
-  std::vector<std::unique_ptr<Connection>> connections;
 };
 
-std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
+ServerReading Server::Impl::Reading() const {
+  // Counters, histograms and gauges come from the process-wide obs
+  // registries; cache and slowlog from this server's own instances, the
+  // single source of truth for their behavior (the registry's
+  // serve_cache_* counters aggregate every cache in the process).
+  ServerReading reading;
+  reading.counters = obs::SnapshotCounters();
+  reading.histograms = obs::SnapshotHistograms();
+  reading.gauges = obs::SnapshotGauges();
+  reading.shards = store.shard_count();
+  reading.cache_size = cache.size();
+  reading.cache_capacity = cache.capacity();
+  reading.cache_hits = cache.hits();
+  reading.cache_misses = cache.misses();
+  reading.cache_evictions = cache.evictions();
+  reading.slowlog_capacity = slowlog.capacity();
+  reading.slowlog_pending = slowlog.size();
+  reading.datasets = store.Names();
+  return reading;
+}
+
+std::string Server::Impl::HandleControl(const ParsedLine& parsed, int port) {
   switch (parsed.control) {
-    case ControlOp::kPing: {
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("ping")
-          .EndObject();
-      return writer.TakeOutput();
-    }
+    case ControlOp::kPing:
+      return FormatAck(parsed.id, "ping");
     case ControlOp::kInfo: {
       std::shared_ptr<const StoredDataset> snapshot =
           store.Get(parsed.dataset);
@@ -96,169 +108,49 @@ std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
         return FormatErrorLine(parsed.id,
                                "unknown dataset: '" + parsed.dataset + "'");
       }
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("info")
-          .Key("dataset").String(snapshot->name)
-          .Key("size").Uint(snapshot->size())
-          .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .Key("shards").Uint(snapshot->shard_count())
-          .Key("port").Int(listener.port());
-      if (options.worker_shard >= 0) {
-        writer.Key("worker_shard").Int(options.worker_shard);
-      }
-      writer.Key("bands").BeginArray();
-      for (size_t band : snapshot->bands) writer.Uint(band);
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
+      DatasetInfo info;
+      info.dataset = snapshot->name;
+      info.size = snapshot->size();
+      info.length = snapshot->uniform_length;
+      info.epoch = snapshot->epoch;
+      info.shards = snapshot->shard_count();
+      info.port = port;
+      info.worker_shard = options.worker_shard;
+      info.bands.assign(snapshot->bands.begin(), snapshot->bands.end());
+      return FormatInfo(parsed.id, info);
     }
-    case ControlOp::kStats: {
-      // "counters" comes from the process-wide obs registry; "cache"
-      // comes from this server's ResultCache instance, which is the
-      // single source of truth for its own behavior (the registry's
-      // serve_cache_* counters aggregate across every cache in the
-      // process and stay available via `metrics` and --profile, so they
-      // are not duplicated here).
-      const obs::MetricsSnapshot counters = obs::SnapshotCounters();
-      const obs::HistogramSnapshot histograms = obs::SnapshotHistograms();
-      const obs::GaugeSnapshot gauges = obs::SnapshotGauges();
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("stats")
-          .Key("profiling").Bool(obs::kProfilingEnabled)
-          .Key("counters").BeginObject();
-      using obs::Counter;
-      for (Counter counter : {Counter::kServeRequests, Counter::kServeBatches,
-                              Counter::kServeBatchedQueries,
-                              Counter::kServeDeadlineExceeded,
-                              Counter::kServeShardScans,
-                              Counter::kServeSnapshotSaves,
-                              Counter::kServeSnapshotLoads,
-                              Counter::kServeShed,
-                              Counter::kClusterScatters,
-                              Counter::kClusterWorkerRestarts,
-                              Counter::kClusterPartialReplies}) {
-        writer.Key(obs::CounterName(counter)).Uint(counters.Get(counter));
-      }
-      writer.EndObject()
-          .Key("shards").BeginObject()
-          .Key("count").Uint(store.shard_count())
-          .EndObject()
-          .Key("cache").BeginObject()
-          .Key("size").Uint(cache.size())
-          .Key("capacity").Uint(cache.capacity())
-          .Key("hits").Uint(cache.hits())
-          .Key("misses").Uint(cache.misses())
-          .Key("evictions").Uint(cache.evictions())
-          .EndObject()
-          .Key("gauges").BeginObject();
-      for (size_t g = 0; g < obs::kNumGauges; ++g) {
-        const obs::Gauge gauge = static_cast<obs::Gauge>(g);
-        writer.Key(obs::GaugeName(gauge)).Int(gauges.Get(gauge));
-      }
-      writer.EndObject().Key("histograms").BeginObject();
-      for (size_t h = 0; h < obs::kNumHistograms; ++h) {
-        const obs::Histogram histogram = static_cast<obs::Histogram>(h);
-        const obs::HistogramData& data = histograms.Get(histogram);
-        if (data.Empty()) continue;  // Sparse, like bench counters.
-        writer.Key(obs::HistogramName(histogram));
-        obs::WriteHistogramObject(writer, data);
-      }
-      writer.EndObject()
-          .Key("slowlog").BeginObject()
-          .Key("capacity").Uint(slowlog.capacity())
-          .Key("pending").Uint(slowlog.size())
-          .EndObject()
-          .Key("datasets").BeginArray();
-      for (const std::string& name : store.Names()) writer.String(name);
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kMetrics: {
-      // The cache and slowlog readings ride along as "extras" — they
-      // belong to this server's objects, not to a global registry.
-      std::vector<obs::ExpositionExtra> extras;
-      extras.push_back({"serve_result_cache_size", false,
-                        static_cast<int64_t>(cache.size())});
-      extras.push_back({"serve_result_cache_capacity", false,
-                        static_cast<int64_t>(cache.capacity())});
-      extras.push_back({"serve_result_cache_hits", true,
-                        static_cast<int64_t>(cache.hits())});
-      extras.push_back({"serve_result_cache_misses", true,
-                        static_cast<int64_t>(cache.misses())});
-      extras.push_back({"serve_result_cache_evictions", true,
-                        static_cast<int64_t>(cache.evictions())});
-      extras.push_back({"serve_slowlog_pending", false,
-                        static_cast<int64_t>(slowlog.size())});
-      const std::string body = obs::RenderMetricsText(
-          obs::SnapshotCounters(), obs::SnapshotHistograms(),
-          obs::SnapshotGauges(), extras);
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("metrics")
-          .Key("format").String("warp-metrics-v1")
-          .Key("body").String(body)
-          .EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kSlowlog: {
-      const std::vector<SlowQueryRecord> entries = slowlog.Drain();
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("slowlog")
-          .Key("capacity").Uint(slowlog.capacity())
-          .Key("entries").BeginArray();
-      for (const SlowQueryRecord& record : entries) {
-        writer.BeginObject()
-            .Key("id").Int(record.id)
-            .Key("op").String(record.op)
-            .Key("dataset").String(record.dataset)
-            .Key("measure").String(record.measure)
-            .Key("engine_us").Double(record.engine_us)
-            .Key("total_us").Double(record.total_us)
-            .Key("cells").Uint(record.cells)
-            .Key("scanned").Uint(record.scanned)
-            .Key("total").Uint(record.total)
-            .Key("partial").Bool(record.partial)
-            .EndObject();
-      }
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kLoad: {
-      Dataset dataset;
+    case ControlOp::kStats:
+      return FormatStats(parsed.id, Reading());
+    case ControlOp::kMetrics:
+      return FormatMetrics(parsed.id, Reading());
+    case ControlOp::kSlowlog:
+      return FormatSlowlog(parsed.id, slowlog.capacity(), slowlog.Drain());
+    case ControlOp::kLoad:
+    case ControlOp::kLoadSnapshot: {
+      const bool ucr = parsed.control == ControlOp::kLoad;
+      const char* op = ucr ? "load" : "load_snapshot";
       std::string error;
-      if (!LoadUcrFile(parsed.path, &dataset, &error)) {
-        // The ts/io error (missing file, truncated row, non-finite value)
-        // goes back to the client verbatim instead of killing the server.
-        return FormatErrorLine(parsed.id, "load failed: " + error);
+      const std::shared_ptr<const StoredDataset> snapshot =
+          ucr ? LoadUcr(parsed.dataset, parsed.path, parsed.band_fractions,
+                        &error)
+              : LoadIndex(parsed.dataset, parsed.path, &error);
+      if (snapshot == nullptr) {
+        // The io or snapshot layer's precise reason (missing file,
+        // truncated row, version mismatch) goes back to the client
+        // verbatim instead of killing the server; the store is untouched.
+        return FormatErrorLine(parsed.id, std::string(op) + " failed: " + error);
       }
-      const std::vector<double>& fractions = parsed.band_fractions.empty()
-                                                 ? options.band_fractions
-                                                 : parsed.band_fractions;
-      const size_t length = dataset.UniformLength();
-      std::shared_ptr<const StoredDataset> snapshot =
-          store.Register(parsed.dataset, std::move(dataset),
-                         BandsFromFractions(fractions, length));
       obs::JsonWriter writer;
       writer.BeginObject()
           .Key("id").Int(parsed.id)
           .Key("ok").Bool(true)
-          .Key("op").String("load")
+          .Key("op").String(op)
           .Key("dataset").String(snapshot->name)
           .Key("size").Uint(snapshot->size())
           .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .EndObject();
+          .Key("epoch").Uint(snapshot->epoch);
+      if (!ucr) writer.Key("shards").Uint(snapshot->shard_count());
+      writer.EndObject();
       return writer.TakeOutput();
     }
     case ControlOp::kSaveSnapshot: {
@@ -285,146 +177,59 @@ std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
           .EndObject();
       return writer.TakeOutput();
     }
-    case ControlOp::kLoadSnapshot: {
-      DatasetIndex index;
-      SnapshotMeta meta;
-      std::string error;
-      if (!LoadSnapshot(parsed.path, &index, &meta, &error)) {
-        // Refuse-don't-guess: the snapshot layer's precise reason goes
-        // back to the client; the store is untouched.
-        return FormatErrorLine(parsed.id, "load_snapshot failed: " + error);
-      }
-      const std::string name =
-          parsed.dataset.empty() ? meta.dataset : parsed.dataset;
-      std::shared_ptr<const StoredDataset> snapshot =
-          store.RegisterIndex(name, std::move(index));
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("load_snapshot")
-          .Key("dataset").String(snapshot->name)
-          .Key("size").Uint(snapshot->size())
-          .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .Key("shards").Uint(snapshot->shard_count())
-          .EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kShutdown: {
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("shutdown")
-          .EndObject();
-      return writer.TakeOutput();
-    }
+    case ControlOp::kShutdown:
+      return FormatAck(parsed.id, "shutdown");
     case ControlOp::kNone:
       break;
   }
   return FormatErrorLine(parsed.id, "internal: unhandled control op");
 }
 
-void Server::Impl::HandleConnection(Connection* connection) {
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, 1);
-  std::string first;
-  while (!shutdown.load(std::memory_order_relaxed) &&
-         connection->conn.ReadLine(&first)) {
-    // Drain everything the client has already pipelined: those lines form
-    // one batch, which is where the batcher's group commit pays off.
-    std::vector<std::string> lines;
-    lines.push_back(std::move(first));
-    while (connection->conn.HasBufferedLine()) {
-      std::string more;
-      if (!connection->conn.ReadLine(&more)) break;
-      lines.push_back(std::move(more));
-    }
+Server::Server(ServerOptions options)
+    : FrontEnd(options.port, options.max_queue_depth),
+      impl_(std::make_unique<Impl>(std::move(options))) {}
 
-    // Lines take effect strictly in order: runs of consecutive queries
-    // form one engine batch, and a control op (stats, load, shutdown)
-    // flushes the pending batch first so it observes every query that
-    // preceded it on the wire.
-    std::vector<std::string> out(lines.size());
-    std::vector<ServeRequest> queries;
-    std::vector<size_t> query_slot;
-    std::vector<double> query_parse_us;  // Parallel to `queries`.
-    const auto flush_queries = [&] {
-      if (queries.empty()) return;
-      std::vector<ServeResponse> responses;
-      batcher.Execute(queries, &responses);
-      for (size_t j = 0; j < responses.size(); ++j) {
-        responses[j].trace.parse_us = query_parse_us[j];
-        out[query_slot[j]] = FormatResponse(responses[j]);
-      }
-      queries.clear();
-      query_slot.clear();
-      query_parse_us.clear();
-    };
-    bool want_shutdown = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;  // Blank lines are keep-alives.
-      ParsedLine parsed;
-      std::string error;
-      const Stopwatch parse_watch;
-      const bool parsed_ok = ParseRequestLine(lines[i], &parsed, &error);
-      const double parse_us = parse_watch.ElapsedMicros();
-      WARP_HISTOGRAM_RECORD_US(obs::Histogram::kServeStageParse, parse_us);
-      if (!parsed_ok) {
-        out[i] = FormatErrorLine(parsed.id, error);
-      } else if (parsed.control == ControlOp::kNone &&
-                 options.worker_shard >= 0 &&
-                 parsed.request.shard_filter != options.worker_shard) {
-        // Shard workers answer only sub-scans stamped for their own
-        // shard: a mis-routed (or unstamped) query would silently cover
-        // the wrong candidate set, so it is refused instead.
-        out[i] = FormatErrorLine(
-            parsed.id,
-            "mis-routed sub-scan: this worker serves shard " +
-                std::to_string(options.worker_shard) + " of " +
-                std::to_string(options.shards) + ", request stamped " +
-                (parsed.request.shard_filter < 0
-                     ? std::string("no shard")
-                     : "shard " +
-                           std::to_string(parsed.request.shard_filter)));
-      } else if (parsed.control == ControlOp::kNone) {
-        queries.push_back(std::move(parsed.request));
-        query_slot.push_back(i);
-        query_parse_us.push_back(parse_us);
-      } else {
-        flush_queries();
-        out[i] = HandleControl(parsed);
-        if (parsed.control == ControlOp::kShutdown) want_shutdown = true;
-      }
-    }
-    flush_queries();
+Server::~Server() { StopConnections(); }
 
-    std::string payload;
-    for (const std::string& response : out) {
-      if (response.empty()) continue;
-      payload += response;
-      payload += '\n';
-    }
-    if (!payload.empty() && !connection->conn.WriteAll(payload)) break;
-    if (want_shutdown) {
-      shutdown.store(true, std::memory_order_relaxed);
-      break;
-    }
+void Server::ExecuteQueries(const std::vector<ServeRequest>& requests,
+                            std::vector<ServeResponse>* responses) {
+  const long shard = impl_->options.worker_shard;
+  if (shard < 0) {
+    impl_->engine.RunBatch(requests, responses);
+    return;
   }
-  connection->conn.ShutdownBoth();
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, -1);
+  // A shard worker answers only sub-scans stamped for its own shard: a
+  // mis-routed (or unstamped) query would silently cover the wrong
+  // candidate set, so it is refused instead.
+  responses->assign(requests.size(), ServeResponse{});
+  std::vector<ServeRequest> routed;
+  std::vector<size_t> routed_slot;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ServeRequest& request = requests[i];
+    if (request.shard_filter == shard) {
+      routed.push_back(request);
+      routed_slot.push_back(i);
+      continue;
+    }
+    (*responses)[i] = ErrorResponse(
+        request, "mis-routed sub-scan: this worker serves shard " +
+                     std::to_string(shard) + " of " +
+                     std::to_string(impl_->options.shards) +
+                     ", request stamped " +
+                     (request.shard_filter < 0
+                          ? std::string("no shard")
+                          : "shard " + std::to_string(request.shard_filter)));
+  }
+  std::vector<ServeResponse> answered;
+  impl_->engine.RunBatch(routed, &answered);
+  for (size_t j = 0; j < answered.size(); ++j) {
+    (*responses)[routed_slot[j]] = std::move(answered[j]);
+  }
 }
 
-Server::Server(ServerOptions options)
-    : impl_(std::make_unique<Impl>(std::move(options))) {}
-
-Server::~Server() {
-  RequestShutdown();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
+std::string Server::HandleControl(const ParsedLine& parsed,
+                                  const std::string& /*line*/) {
+  return impl_->HandleControl(parsed, port());
 }
 
 void Server::RegisterDataset(const std::string& name, Dataset dataset) {
@@ -437,25 +242,12 @@ void Server::RegisterDataset(const std::string& name, Dataset dataset) {
 bool Server::LoadDataset(const std::string& name, const std::string& path,
                          const std::vector<double>& band_fractions,
                          std::string* error) {
-  Dataset dataset;
-  if (!LoadUcrFile(path, &dataset, error)) return false;
-  const std::vector<double>& fractions = band_fractions.empty()
-                                             ? impl_->options.band_fractions
-                                             : band_fractions;
-  const size_t length = dataset.UniformLength();
-  impl_->store.Register(name, std::move(dataset),
-                        BandsFromFractions(fractions, length));
-  return true;
+  return impl_->LoadUcr(name, path, band_fractions, error) != nullptr;
 }
 
 bool Server::LoadSnapshotFile(const std::string& name,
                               const std::string& path, std::string* error) {
-  DatasetIndex index;
-  SnapshotMeta meta;
-  if (!LoadSnapshot(path, &index, &meta, error)) return false;
-  impl_->store.RegisterIndex(name.empty() ? meta.dataset : name,
-                             std::move(index));
-  return true;
+  return impl_->LoadIndex(name, path, error) != nullptr;
 }
 
 bool Server::LoadSnapshotDir(const std::string& dir, std::string* error) {
@@ -467,59 +259,7 @@ bool Server::LoadSnapshotDir(const std::string& dir, std::string* error) {
   return true;
 }
 
-bool Server::Start(std::string* error) {
-  return impl_->listener.Listen(impl_->options.port, error);
-}
-
-int Server::port() const { return impl_->listener.port(); }
-
-void Server::Serve() {
-  while (!impl_->shutdown.load(std::memory_order_relaxed)) {
-    bool timed_out = false;
-    TcpConn conn = impl_->listener.AcceptWithTimeout(kAcceptPollMs, &timed_out);
-    if (!conn.valid()) {
-      if (timed_out) continue;
-      break;  // Listener closed or failed.
-    }
-    auto connection = std::make_unique<Impl::Connection>();
-    connection->conn = std::move(conn);
-    Impl::Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] {
-      impl_->HandleConnection(raw);
-    });
-    std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-    impl_->connections.push_back(std::move(connection));
-  }
-
-  impl_->listener.Close();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  impl_->connections.clear();
-}
-
-void Server::RequestShutdown() {
-  impl_->shutdown.store(true, std::memory_order_relaxed);
-}
-
 const DatasetStore& Server::store() const { return impl_->store; }
-
-int RunServer(Server* server) {
-  std::string error;
-  if (!server->Start(&error)) {
-    std::fprintf(stderr, "warp_serve: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("warp_serve listening on 127.0.0.1:%d\n", server->port());
-  // Machine-scrapable readiness line: harnesses and the cluster
-  // supervisor parse this exact shape to learn a --port=0 binding.
-  std::printf("ready port=%d\n", server->port());
-  std::fflush(stdout);
-  server->Serve();
-  return 0;
-}
 
 }  // namespace serve
 }  // namespace warp

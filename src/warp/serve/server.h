@@ -1,16 +1,11 @@
 // The loopback TCP query server (docs/SERVING.md).
 //
 // Composition of the serve subsystem: a DatasetStore (shared, read-only
-// snapshots), a ResultCache, a QueryEngine on a ThreadPool, and a Batcher
-// that group-commits concurrent connections into shared engine batches.
-// One thread per connection reads line-delimited JSON requests; lines
-// that are already buffered when a response would be written are drained
-// first and answered as one batch (pipelining IS batching). Control ops
-// (ping / info / stats / metrics / slowlog / load / shutdown) are
-// answered inline by the server without entering the engine.
-//
-// All socket work goes through warp/serve/net.h; this file never issues
-// a raw socket syscall.
+// snapshots), a ResultCache, a SlowQueryLog and a QueryEngine on a
+// ThreadPool, behind the shared line-protocol FrontEnd (front_end.h),
+// whose batcher group-commits concurrent connections into shared engine
+// batches. Control ops (ping / info / stats / metrics / slowlog / load /
+// shutdown) are answered inline without entering the engine.
 
 #ifndef WARP_SERVE_SERVER_H_
 #define WARP_SERVE_SERVER_H_
@@ -21,6 +16,7 @@
 #include <vector>
 
 #include "warp/serve/dataset_store.h"
+#include "warp/serve/front_end.h"
 #include "warp/ts/dataset.h"
 
 namespace warp {
@@ -40,9 +36,9 @@ struct ServerOptions {
   // Cluster worker mode: >= 0 makes this server shard worker K of
   // `shards`. The store still holds the full sharded layout (identical
   // partition, identical epochs), but every query must arrive stamped
-  // with "shard":K — anything else is refused as mis-routed — and scans
-  // only cover shard K's candidates (docs/SERVING.md, "Multi-process
-  // cluster").
+  // with "shard":K — the local executor refuses anything else as
+  // mis-routed — and scans only cover shard K's candidates
+  // (docs/SERVING.md, "Multi-process cluster").
   long worker_shard = -1;
 
   // Sakoe-Chiba fractions indexed at dataset registration: each becomes a
@@ -50,10 +46,10 @@ struct ServerOptions {
   std::vector<double> band_fractions = {0.05, 0.1};
 };
 
-class Server {
+class Server : public FrontEnd {
  public:
   explicit Server(ServerOptions options);
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -81,33 +77,17 @@ class Server {
   // the first failure.
   bool LoadSnapshotDir(const std::string& dir, std::string* error);
 
-  // Binds the listener. Returns false and fills *error on failure.
-  bool Start(std::string* error);
-
-  // The bound port (valid after Start(); useful with options.port == 0).
-  int port() const;
-
-  // Accepts and serves connections until RequestShutdown() (from a
-  // connection's `shutdown` op or another thread). Joins every
-  // connection thread before returning.
-  void Serve();
-
-  // Signals Serve() to stop; safe from any thread, idempotent.
-  void RequestShutdown();
-
   const DatasetStore& store() const;
 
  private:
+  void ExecuteQueries(const std::vector<ServeRequest>& requests,
+                      std::vector<ServeResponse>* responses) override;
+  std::string HandleControl(const ParsedLine& parsed,
+                            const std::string& line) override;
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Convenience for tools: Start() + Serve(), printing
-// "warp_serve listening on 127.0.0.1:<port>" and then "ready port=<port>"
-// to stdout first so harnesses (and the cluster supervisor) can scrape
-// the bound port even when options.port was 0. Returns a process exit
-// code.
-int RunServer(Server* server);
 
 }  // namespace serve
 }  // namespace warp

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "warp/obs/exposition.h"
 
 namespace warp {
 namespace obs {
@@ -179,6 +182,49 @@ TEST(HistogramTest, OffBuildRecordsNothing) {
   EXPECT_TRUE(HistogramsSince(before).AllEmpty());
   EXPECT_EQ(GaugeValue(Gauge::kServeQueueDepth), 0);
   EXPECT_EQ(SnapshotGauges().Get(Gauge::kServeQueueDepth), 0);
+}
+
+// The exposition parser inverts the renderer byte for byte, and refuses
+// documents the renderer could not have written.
+TEST(HistogramTest, ExpositionRenderParseRenderRoundTrips) {
+  MetricsSnapshot counters;
+  for (size_t i = 0; i < kNumCounters; ++i) counters.values[i] = 3 * i + 1;
+  HistogramSnapshot histograms;
+  HistogramData& data = histograms.series[2];
+  data.buckets = {};
+  data.buckets[0] = 2;
+  data.buckets[5] = 7;
+  data.buckets[9] = 1;
+  data.count = 10;
+  data.sum = 400;
+  GaugeSnapshot gauges;
+  gauges.values[0] = -4;
+  const std::vector<ExpositionExtra> extras = {{"a_things", true, 12},
+                                               {"b_level", false, -3}};
+  const std::string text =
+      RenderMetricsText(counters, histograms, gauges, extras);
+
+  MetricsSnapshot counters2;
+  HistogramSnapshot histograms2;
+  GaugeSnapshot gauges2;
+  std::vector<ExpositionExtra> extras2;
+  std::string error;
+  ASSERT_TRUE(ParseMetricsText(text, &counters2, &histograms2, &gauges2,
+                               &extras2, &error))
+      << error;
+  EXPECT_EQ(RenderMetricsText(counters2, histograms2, gauges2, extras2), text);
+  EXPECT_EQ(histograms2.series[2].buckets, data.buckets);
+  ASSERT_EQ(extras2.size(), 2u);
+  EXPECT_EQ(extras2[1].name, "b_level");
+  EXPECT_EQ(extras2[1].value, -3);
+
+  for (const std::string& bad :
+       {std::string("# not-metrics\n"), text + "warp_stray_total 1\n",
+        text.substr(0, text.find("warp_serve_requests_total"))}) {
+    EXPECT_FALSE(ParseMetricsText(bad, &counters2, &histograms2, &gauges2,
+                                  &extras2, &error))
+        << bad.substr(0, 40);
+  }
 }
 
 }  // namespace

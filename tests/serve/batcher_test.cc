@@ -4,6 +4,7 @@
 #include "warp/serve/batcher.h"
 
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,13 @@
 namespace warp {
 namespace serve {
 namespace {
+
+Batcher::Executor RunsOn(QueryEngine& engine) {
+  return [&engine](const std::vector<ServeRequest>& requests,
+                   std::vector<ServeResponse>* responses) {
+    engine.RunBatch(requests, responses);
+  };
+}
 
 class BatcherTest : public ::testing::Test {
  protected:
@@ -39,7 +47,7 @@ class BatcherTest : public ::testing::Test {
 
 TEST_F(BatcherTest, EmptySubmissionReturnsEmpty) {
   QueryEngine engine(&store_, nullptr, 1);
-  Batcher batcher(&engine);
+  Batcher batcher(RunsOn(engine));
   std::vector<ServeResponse> responses{ServeResponse{}};
   batcher.Execute({}, &responses);
   EXPECT_TRUE(responses.empty());
@@ -48,7 +56,7 @@ TEST_F(BatcherTest, EmptySubmissionReturnsEmpty) {
 TEST_F(BatcherTest, SingleSubmitterMatchesDirectRun) {
   QueryEngine engine(&store_, nullptr, 2);
   QueryEngine reference(&store_, nullptr, 1);
-  Batcher batcher(&engine);
+  Batcher batcher(RunsOn(engine));
   std::vector<ServeResponse> responses;
   batcher.Execute(requests_, &responses);
   ASSERT_EQ(responses.size(), requests_.size());
@@ -63,12 +71,12 @@ TEST_F(BatcherTest, SingleSubmitterMatchesDirectRun) {
 }
 
 // Many threads submitting concurrently: answers are per-submission
-// correct regardless of how the dispatcher groups them, and at least one
+// correct regardless of how the batcher groups them, and at least one
 // multi-submission batch actually forms under contention.
 TEST_F(BatcherTest, ConcurrentSubmittersGetTheirOwnAnswers) {
   QueryEngine engine(&store_, nullptr, 2);
   QueryEngine reference(&store_, nullptr, 1);
-  Batcher batcher(&engine);
+  Batcher batcher(RunsOn(engine));
 
   constexpr size_t kClients = 8;
   constexpr size_t kRounds = 6;
@@ -109,29 +117,24 @@ TEST_F(BatcherTest, ConcurrentSubmittersGetTheirOwnAnswers) {
 // the queued work untouched (the shed is a pure reject, not a drop of
 // someone else's queries).
 TEST_F(BatcherTest, OverloadedQueueFastFailsNewSubmissions) {
-  // A blocker the engine cannot shortcut: `dist` computes the full DTW
-  // for a pinned pair, so no lower bound or early abandon applies and
-  // the batch occupies the single engine thread for a long, predictable
-  // stretch while the test probes the admission gate.
-  store_.Register("big", gen::RandomWalkDataset(8, 256, 7), {5});
-  const Dataset heavy_queries = gen::RandomWalkDataset(1, 256, 13);
-  std::vector<ServeRequest> heavy_batch;
-  for (size_t i = 0; i < 200; ++i) {
-    ServeRequest heavy;
-    heavy.id = 1000 + static_cast<int64_t>(i);
-    heavy.op = QueryOp::kDist;
-    heavy.dataset = "big";
-    heavy.index = i % 8;
-    heavy.query = heavy_queries[0].values();
-    heavy_batch.push_back(std::move(heavy));
-  }
-
+  // The executor holds the blocker batch on a latch, so it stays in
+  // flight for exactly as long as the test probes the admission gate,
+  // however fast or loaded the machine is.
   QueryEngine engine(&store_, nullptr, 1);
-  Batcher batcher(&engine, /*max_queue_depth=*/1);
+  std::latch release(1);
+  Batcher batcher(
+      [&](const std::vector<ServeRequest>& requests,
+          std::vector<ServeResponse>* responses) {
+        release.wait();
+        engine.RunBatch(requests, responses);
+      },
+      /*max_queue_depth=*/1);
+  const std::vector<ServeRequest> blocker_batch(requests_.begin() + 4,
+                                                requests_.end());
 
   std::vector<ServeResponse> blocker_responses;
   std::thread blocker(
-      [&] { batcher.Execute(heavy_batch, &blocker_responses); });
+      [&] { batcher.Execute(blocker_batch, &blocker_responses); });
   while (batcher.batches_dispatched() == 0) std::this_thread::yield();
 
   // One submission queues behind the in-flight blocker batch (depth 1 ==
@@ -152,9 +155,10 @@ TEST_F(BatcherTest, OverloadedQueueFastFailsNewSubmissions) {
   }
   EXPECT_EQ(batcher.shed(), 1u);  // One submission, not one per request.
 
+  release.count_down();
   blocker.join();
   queued.join();
-  ASSERT_EQ(blocker_responses.size(), heavy_batch.size());
+  ASSERT_EQ(blocker_responses.size(), blocker_batch.size());
   EXPECT_TRUE(blocker_responses[0].ok) << blocker_responses[0].error;
   ASSERT_EQ(queued_responses.size(), 1u);
   EXPECT_TRUE(queued_responses[0].ok) << queued_responses[0].error;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "warp/serve/replies.h"
 #include "warp/serve/wire.h"
 
 namespace warp {
@@ -203,6 +204,76 @@ TEST(ProtocolTest, QueryOpNamesRoundTrip) {
   }
   QueryOp ignored;
   EXPECT_FALSE(ParseQueryOp("2nn", &ignored));
+}
+
+// Each control-op reply parser inverts its writer: written again from
+// the parsed reading, the reply is byte-identical.
+TEST(ProtocolTest, ControlRepliesRenderParseRenderRoundTrip) {
+  ServerReading reading;
+  for (size_t i = 0; i < obs::kNumCounters; ++i) {
+    reading.counters.values[i] = 5 * i + 2;
+  }
+  obs::HistogramData& latency = reading.histograms.series[0];
+  latency.buckets[3] = 4;
+  latency.buckets[11] = 1;
+  latency.count = 5;
+  latency.sum = 1500;
+  reading.gauges.values[1] = 2;
+  reading.shards = 3;
+  reading.cache_size = 7;
+  reading.cache_capacity = 64;
+  reading.cache_hits = 9;
+  reading.cache_misses = 11;
+  reading.cache_evictions = 1;
+  reading.slowlog_capacity = 32;
+  reading.slowlog_pending = 4;
+  reading.datasets = {"a", "b"};
+
+  ServerReading parsed;
+  std::string error;
+  const std::string stats = FormatStats(7, reading);
+  ASSERT_TRUE(ParseStats(stats, &parsed, &error)) << error;
+  EXPECT_EQ(FormatStats(7, parsed), stats);
+  const std::string metrics = FormatMetrics(8, reading);
+  ASSERT_TRUE(ParseMetrics(metrics, &parsed, &error)) << error;
+  EXPECT_EQ(FormatMetrics(8, parsed), metrics);
+
+  std::vector<SlowQueryRecord> entries(2);
+  entries[0].id = 4;
+  entries[0].op = "knn";
+  entries[0].dataset = "a";
+  entries[0].measure = "cdtw";
+  entries[0].engine_us = 12.375;
+  entries[0].total_us = 13.5;
+  entries[0].cells = 900;
+  entries[0].scanned = 10;
+  entries[0].total = 12;
+  entries[0].partial = true;
+  entries[1].id = 5;
+  const std::string slowlog = FormatSlowlog(9, 32, entries);
+  uint64_t capacity = 0;
+  std::vector<SlowQueryRecord> parsed_entries;
+  ASSERT_TRUE(ParseSlowlog(slowlog, &capacity, &parsed_entries, &error))
+      << error;
+  EXPECT_EQ(FormatSlowlog(9, capacity, parsed_entries), slowlog);
+
+  DatasetInfo info;
+  info.dataset = "a";
+  info.size = 30;
+  info.length = 48;
+  info.epoch = 2;
+  info.shards = 4;
+  info.port = 7070;
+  info.worker_shard = 1;
+  info.bands = {2, 5};
+  const std::string info_line = FormatInfo(10, info);
+  DatasetInfo parsed_info;
+  ASSERT_TRUE(ParseInfo(info_line, &parsed_info, &error)) << error;
+  EXPECT_EQ(FormatInfo(10, parsed_info), info_line);
+
+  // A refusal parses as a failure carrying the reply's own error text.
+  EXPECT_FALSE(ParseStats(FormatErrorLine(3, "nope"), &parsed, &error));
+  EXPECT_EQ(error, "nope");
 }
 
 }  // namespace

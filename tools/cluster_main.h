@@ -15,7 +15,8 @@
 //                         bound port is printed as "ready port=<P>")
 //   --threads=N           scan threads per worker (default 1)
 //   --cache=N             result-cache entries per worker (default 256)
-//   --max-queue-depth=N   per-worker batcher admission gate (default 1024)
+//   --max-queue-depth=N   batcher admission gate at the router and at
+//                         each worker (default 1024)
 //   --worker-bin=PATH     warp_serve binary to spawn (default: the
 //                         warp_serve next to this launcher)
 //   --restart-backoff-ms=N      first restart delay (default 200)
@@ -112,7 +113,7 @@ inline int ClusterToolMain(const ToolFlags& flags,
   std::fflush(stdout);
 
   cluster::Router router(router_options, &supervisor);
-  const int status = cluster::RunRouter(&router);
+  const int status = router.Run("warp_cluster");
   supervisor.Stop();
   return status;
 }

@@ -227,7 +227,7 @@ inline int ServeToolMain(const ToolFlags& flags) {
                                      static_cast<size_t>(length),
                                      static_cast<uint64_t>(seed)));
   }
-  return serve::RunServer(&server);
+  return server.Run("warp_serve");
 }
 
 }  // namespace tools

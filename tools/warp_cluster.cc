@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
         "  --port=N                   router port (default 0 = auto)\n"
         "  --threads=N                scan threads per worker (default 1)\n"
         "  --cache=N                  result-cache entries per worker\n"
-        "  --max-queue-depth=N        per-worker admission gate (default 1024)\n"
+        "  --max-queue-depth=N        admission gate at the router and each\n"
+        "                             worker (default 1024)\n"
         "  --worker-bin=PATH          warp_serve binary (default: sibling)\n"
         "  --restart-backoff-ms=N     first restart delay (default 200)\n"
         "  --restart-backoff-max-ms=N backoff ceiling (default 5000)\n"

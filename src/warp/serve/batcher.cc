@@ -9,7 +9,18 @@ namespace warp {
 namespace serve {
 
 Batcher::Batcher(Executor executor, size_t max_queue_depth)
-    : executor_(std::move(executor)), max_queue_depth_(max_queue_depth) {}
+    : executor_(std::move(executor)),
+      max_queue_depth_(max_queue_depth),
+      dispatcher_([this] { DispatchLoop(); }) {}
+
+Batcher::~Batcher() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  pending_cv_.notify_all();
+  dispatcher_.join();
+}
 
 void Batcher::Execute(const std::vector<ServeRequest>& requests,
                       std::vector<ServeResponse>* responses) {
@@ -38,15 +49,15 @@ void Batcher::Execute(const std::vector<ServeRequest>& requests,
   submission.queued.Restart();
   // One gauge step per submission (not per request): the admission
   // question the ROADMAP cares about is "how many clients are waiting",
-  // decremented when a leader adopts the submission into a batch.
+  // decremented when the submission is adopted into a batch.
   WARP_GAUGE_ADD(obs::Gauge::kServeQueueDepth, 1);
-  while (!submission.done) {
-    if (running_) {
-      submission.cv.wait(lock);  // For the answer, or for the lead.
-    } else {
-      RunBatch(lock);
-    }
+  if (!running_ && pending_.size() == 1) {
+    RunBatch(lock);  // Idle: answer on this thread, no hand-off.
+  } else if (!running_) {
+    pending_cv_.notify_one();
   }
+  // Otherwise the batch in flight wakes the dispatcher when it ends.
+  submission.cv.wait(lock, [&] { return submission.done; });
 }
 
 uint64_t Batcher::batches_dispatched() const {
@@ -62,6 +73,16 @@ size_t Batcher::queue_depth() const {
 uint64_t Batcher::shed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return shed_;
+}
+
+void Batcher::DispatchLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    pending_cv_.wait(
+        lock, [&] { return stop_ || (!running_ && !pending_.empty()); });
+    if (running_ || pending_.empty()) return;  // stop_ and fully drained.
+    RunBatch(lock);
+  }
 }
 
 void Batcher::RunBatch(std::unique_lock<std::mutex>& lock) {
@@ -117,8 +138,7 @@ void Batcher::RunBatch(std::unique_lock<std::mutex>& lock) {
     s->cv.notify_one();
   }
   running_ = false;
-  // Hand the lead to the oldest submission that arrived meanwhile.
-  if (!pending_.empty()) pending_.front()->cv.notify_one();
+  if (!pending_.empty()) pending_cv_.notify_one();
 }
 
 }  // namespace serve

@@ -1,13 +1,14 @@
 // Request batching: coalesces concurrent queries into executor batches.
 //
-// Connection handlers (one per client) block in Execute(). A submitter
-// that finds no batch in flight leads: it drains EVERY submission pending
-// at that moment (its own included) into one executor call on its own
-// thread, answers them all, and hands the lead to the oldest submission
-// that arrived meanwhile. Queries that arrive while a batch is in flight
-// pile up and form the next batch — the classic group-commit shape,
-// without a dispatcher thread between a lone client and its answer. The
-// executor is the seam between the front end and whatever answers
+// Connection handlers (one per client) block in Execute(). Queries that
+// arrive while a batch is in flight pile up, and a dispatcher thread
+// drains EVERY submission pending when that batch ends into the next
+// executor call — the classic group-commit shape, chained back to back
+// under load. A submission that finds nothing in flight and nobody
+// waiting runs on its own thread instead, so an idle server adds no
+// thread hand-off between a lone client and its answer.
+//
+// The executor is the seam between the front end and whatever answers
 // queries: a server passes QueryEngine::RunBatch (which groups each batch
 // by dataset, so concurrent clients share snapshot resolution and one
 // ParallelFor), the cluster router passes its scatter/gather to the shard
@@ -25,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "warp/common/stopwatch.h"
@@ -46,6 +48,7 @@ class Batcher {
   // error:"overloaded" — so one slow scan cannot back up the world
   // (admission bounds time-in-queue; deadlines bound time-in-engine).
   explicit Batcher(Executor executor, size_t max_queue_depth = 0);
+  ~Batcher();
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
@@ -69,16 +72,16 @@ class Batcher {
   struct Submission {
     const std::vector<ServeRequest>* requests = nullptr;
     std::vector<ServeResponse>* responses = nullptr;
-    // Queue-wait clock: started at submit, read when a leader adopts
-    // this submission into its batch.
+    // Queue-wait clock: started at submit, read when this submission is
+    // adopted into a batch.
     Stopwatch queued;
     // Per-submission signal (not one shared cv) so completing a batch
-    // wakes exactly its submitters (and the next leader), not every
-    // connection in the house.
+    // wakes exactly its submitters, not every connection in the house.
     std::condition_variable cv;
     bool done = false;
   };
 
+  void DispatchLoop();
   // Runs every pending submission as one batch; `lock` holds mutex_ on
   // entry and exit but not while the executor runs.
   void RunBatch(std::unique_lock<std::mutex>& lock);
@@ -86,10 +89,13 @@ class Batcher {
   const Executor executor_;
   const size_t max_queue_depth_;
   mutable std::mutex mutex_;
+  std::condition_variable pending_cv_;  // Wakes the dispatcher.
   std::deque<Submission*> pending_;
-  bool running_ = false;  // A leader is running a batch.
+  bool running_ = false;  // A batch is in flight.
   uint64_t batches_ = 0;
   uint64_t shed_ = 0;
+  bool stop_ = false;
+  std::thread dispatcher_;
 };
 
 }  // namespace serve

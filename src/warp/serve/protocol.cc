@@ -255,13 +255,10 @@ std::string FormatResponse(const ServeResponse& response) {
 }
 
 std::string FormatErrorLine(int64_t id, const std::string& error) {
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(id)
-      .Key("ok").Bool(false)
-      .Key("error").String(error)
-      .EndObject();
-  return writer.TakeOutput();
+  ServeResponse response;
+  response.id = id;
+  response.error = error;
+  return FormatResponse(response);
 }
 
 std::string FormatRequest(const ServeRequest& request) {

@@ -2,6 +2,8 @@
 //
 // Kernel-level scaling of the DTW family: how Full DTW, cDTW, FastDTW,
 // the lower bounds, and the envelope computation scale with N, w, and r.
+// The BM_Format*/BM_Parse* cases time the serving wire layer (number
+// text, request and reply lines) that every served query pays for.
 // These are the numbers behind every macro experiment: cDTW_w costs
 // O(N*w) with a tiny constant; FastDTW costs O(N*r) with a much larger
 // constant (recursion, window bookkeeping, path recovery) — which is the
@@ -28,6 +30,8 @@
 #include "warp/core/lower_bounds.h"
 #include "warp/gen/random_walk.h"
 #include "warp/mining/matrix_profile.h"
+#include "warp/obs/json_writer.h"
+#include "warp/serve/protocol.h"
 #include "warp/simd/dispatch.h"
 
 namespace warp {
@@ -232,6 +236,85 @@ void BM_HeadToHead_FastDtw10(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeadToHead_FastDtw10)->Arg(128)->Arg(450)->Arg(945)->Arg(4000);
+
+// ---- Wire layer: number text, request and reply lines. ----
+
+// A served knn request (k = 5, cDTW 5%) whose query is an n-point walk.
+serve::ServeRequest MakeKnnRequest(size_t n) {
+  serve::ServeRequest request;
+  request.id = 12345;
+  request.op = serve::QueryOp::kKnn;
+  request.dataset = "hot";
+  request.k = 5;
+  request.params.window_fraction = 0.05;
+  request.query = MakeWalk(n, 12);
+  return request;
+}
+
+// One knn reply (k = 5) with walk-valued distances.
+serve::ServeResponse MakeKnnResponse() {
+  serve::ServeResponse response;
+  response.id = 12345;
+  response.ok = true;
+  response.op = serve::QueryOp::kKnn;
+  response.scanned = response.total = 150;
+  const auto distances = MakeWalk(5, 13);
+  for (size_t i = 0; i < distances.size(); ++i) {
+    response.neighbors.push_back(
+        {17 * i + 3, static_cast<int>(i % 3), distances[i] * distances[i]});
+  }
+  return response;
+}
+
+void BM_FormatDouble(benchmark::State& state) {
+  const auto values = MakeWalk(1024, 14);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        obs::JsonWriter::FormatDouble(values[i++ & 1023]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FormatDouble);
+
+void BM_FormatRequest(benchmark::State& state) {
+  const serve::ServeRequest request =
+      MakeKnnRequest(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::FormatRequest(request));
+  }
+}
+BENCHMARK(BM_FormatRequest)->Arg(64)->Arg(128);
+
+void BM_ParseRequestLine(benchmark::State& state) {
+  const std::string line =
+      serve::FormatRequest(MakeKnnRequest(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    serve::ParsedLine parsed;
+    std::string error;
+    benchmark::DoNotOptimize(serve::ParseRequestLine(line, &parsed, &error));
+  }
+}
+BENCHMARK(BM_ParseRequestLine)->Arg(64)->Arg(128);
+
+void BM_FormatResponse(benchmark::State& state) {
+  const serve::ServeResponse response = MakeKnnResponse();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::FormatResponse(response));
+  }
+}
+BENCHMARK(BM_FormatResponse);
+
+void BM_ParseResponseLine(benchmark::State& state) {
+  const std::string line = serve::FormatResponse(MakeKnnResponse());
+  for (auto _ : state) {
+    serve::ServeResponse response;
+    std::string error;
+    benchmark::DoNotOptimize(
+        serve::ParseResponseLine(line, &response, &error));
+  }
+}
+BENCHMARK(BM_ParseResponseLine);
 
 }  // namespace
 }  // namespace warp

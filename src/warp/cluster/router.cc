@@ -165,8 +165,9 @@ struct Router::Impl {
     std::vector<bool> up(shards);
     for (size_t shard = 0; shard < shards; ++shard) up[shard] = LinkUp(shard);
 
-    // Build: stamp each sub-scan with (shard, epoch) and append it to its
-    // worker's payload. Queries keep batch order within each payload.
+    // Build: format each query once, stamp a copy with (shard, epoch)
+    // and append it to its worker's payload. Queries keep batch order
+    // within each payload.
     for (size_t q = 0; q < idx.size(); ++q) {
       const ServeRequest& request = requests[idx[q]];
       QueryState& state = states[q];
@@ -187,16 +188,17 @@ struct Router::Impl {
       state.subs.resize(state.targets.size());
       state.have.assign(state.targets.size(), false);
       WARP_COUNT(obs::Counter::kClusterScatters);
+      const serve::UnstampedRequest line =
+          serve::FormatUnstampedRequest(request);
+      const uint64_t epoch = state.have_info ? state.info.epoch : 0;
       for (size_t t = 0; t < state.targets.size(); ++t) {
         const size_t shard = state.targets[t];
         if (!up[shard]) {
           state.missing.push_back(shard);
           continue;
         }
-        ServeRequest sub = request;
-        sub.shard_filter = static_cast<long>(shard);
-        sub.require_epoch = state.have_info ? state.info.epoch : 0;
-        batches[shard].payload += serve::FormatRequest(sub);
+        serve::AppendStampedRequest(line, static_cast<long>(shard), epoch,
+                                    &batches[shard].payload);
         batches[shard].payload += '\n';
         batches[shard].slots.push_back({q, t});
       }

@@ -8,17 +8,19 @@
 // executor (scatter/gather) and the control-op answers are its own.
 //
 // Determinism contract, layer by layer:
-//   * every sub-scan is stamped ("shard":K, "shard_epoch":E) via
-//     FormatRequest, and a worker refuses mis-routed or stale work, so an
-//     answer can only ever be assembled from the pinned partition;
+//   * every sub-scan is stamped ("shard":K, "shard_epoch":E): the query
+//     is formatted once (FormatUnstampedRequest) and each shard's copy
+//     gets its stamp spliced in, byte for byte the FormatRequest line of
+//     the stamped request. A worker refuses mis-routed or stale work, so
+//     an answer can only ever be assembled from the pinned partition;
 //   * the workers' per-shard hit lists merge through the engine's own
 //     gather (serve::GatherNeighbors), so the merge cannot drift from
 //     the single process's shard-major chunk merge;
 //   * dist/subsequence go only to the owning shard
 //     (ShardRouter::Partition) and the reply is relayed field-for-field;
-//   * doubles cross the wire via FormatDouble <-> strtod, so every
-//     distance survives bit-for-bit and the re-serialized merge is
-//     byte-identical.
+//   * doubles cross the wire via FormatDouble <-> ParseDouble
+//     (warp/common/number_text.h, strtod's results), so every distance
+//     survives bit-for-bit and the re-serialized merge is byte-identical.
 //
 // Degradation: while a shard's worker is down, scan queries still answer
 // from the remaining shards with `partial:true` and `shards_missing:[K]`

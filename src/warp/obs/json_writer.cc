@@ -1,10 +1,10 @@
 #include "warp/obs/json_writer.h"
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 #include "warp/common/assert.h"
+#include "warp/common/number_text.h"
 
 namespace warp {
 namespace obs {
@@ -48,7 +48,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
   if (stack_.back().has_items) out_.push_back(',');
   stack_.back().has_items = true;
   out_.push_back('"');
-  out_ += Escape(key);
+  AppendEscaped(key, &out_);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -57,26 +57,26 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
   out_.push_back('"');
-  out_ += Escape(value);
+  AppendEscaped(value, &out_);
   out_.push_back('"');
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInteger(value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Uint(uint64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInteger(value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double value) {
   BeforeValue();
-  out_ += FormatDouble(value);
+  AppendDouble(value, &out_);
   return *this;
 }
 
@@ -122,9 +122,23 @@ void JsonWriter::BeforeValue() {
   stack_.back().has_items = true;
 }
 
+template <typename Integer>
+void JsonWriter::AppendInteger(Integer value) {
+  char buffer[24];
+  const char* end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out_.append(buffer, static_cast<size_t>(end - buffer));
+}
+
 std::string JsonWriter::Escape(std::string_view value) {
   std::string escaped;
   escaped.reserve(value.size());
+  AppendEscaped(value, &escaped);
+  return escaped;
+}
+
+void JsonWriter::AppendEscaped(std::string_view value, std::string* out) {
+  std::string& escaped = *out;
   for (const char c : value) {
     switch (c) {
       case '"':
@@ -162,17 +176,12 @@ std::string JsonWriter::Escape(std::string_view value) {
         break;
     }
   }
-  return escaped;
 }
 
 std::string JsonWriter::FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
+  std::string text;
+  AppendDouble(value, &text);
+  return text;
 }
 
 }  // namespace obs

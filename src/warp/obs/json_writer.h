@@ -2,7 +2,7 @@
 //
 // Scope: streaming write-only construction of one document. Correctness
 // over features — proper string escaping (control characters as \u00XX,
-// UTF-8 passed through), shortest round-trip double formatting, nesting
+// UTF-8 passed through), round-trip double formatting, nesting
 // validated with WARP_CHECK so a malformed emission aborts instead of
 // producing unparseable output. Non-finite doubles become null, since
 // JSON has no Inf/NaN and the DTW code uses +inf as a sentinel.
@@ -47,11 +47,15 @@ class JsonWriter {
   // The finished document. WARP_CHECKs that every container was closed.
   const std::string& TakeOutput();
 
+  // Bytes written so far: an offset into the finished document, for a
+  // caller that splices text in later.
+  size_t size() const { return out_.size(); }
+
   // `value` with JSON string escaping applied (no surrounding quotes).
   static std::string Escape(std::string_view value);
 
-  // Shortest decimal form of a finite `value` that strtod parses back to
-  // the same bits; "null" for NaN/Inf.
+  // The first of %.15g / %.16g / %.17g that strtod parses back to the
+  // same bits; "null" for NaN/Inf (warp/common/number_text.h).
   static std::string FormatDouble(double value);
 
  private:
@@ -62,6 +66,12 @@ class JsonWriter {
 
   // Comma/placement bookkeeping shared by every value-emitting method.
   void BeforeValue();
+
+  template <typename Integer>
+  void AppendInteger(Integer value);
+
+  // Escape(), appended to *out with no temporary string.
+  static void AppendEscaped(std::string_view value, std::string* out);
 
   std::string out_;
   std::vector<Scope> stack_;

@@ -34,8 +34,13 @@ void SetNoDelay(int fd) {
 TcpConn::~TcpConn() { Close(); }
 
 TcpConn::TcpConn(TcpConn&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      consumed_(other.consumed_),
+      scanned_(other.scanned_) {
   other.fd_ = -1;
+  other.buffer_.clear();
+  other.consumed_ = other.scanned_ = 0;
 }
 
 TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
@@ -43,22 +48,41 @@ TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
     Close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
+    consumed_ = other.consumed_;
+    scanned_ = other.scanned_;
     other.fd_ = -1;
+    other.buffer_.clear();
+    other.consumed_ = other.scanned_ = 0;
   }
   return *this;
+}
+
+size_t TcpConn::FindNewline() const {
+  const size_t newline = buffer_.find('\n', scanned_);
+  scanned_ = newline == std::string::npos ? buffer_.size() : newline;
+  return newline;
 }
 
 bool TcpConn::ReadLine(std::string* line) {
   line->clear();
   while (true) {
-    const size_t newline = buffer_.find('\n');
+    const size_t newline = FindNewline();
     if (newline != std::string::npos) {
-      line->assign(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
+      size_t end = newline;
+      if (end > consumed_ && buffer_[end - 1] == '\r') --end;
+      line->assign(buffer_, consumed_, end - consumed_);
+      consumed_ = scanned_ = newline + 1;
+      // Compact only once the consumed prefix is at least half the
+      // buffer, so a pipelined burst of lines moves each byte O(1) times
+      // instead of once per line.
+      if (consumed_ * 2 >= buffer_.size()) {
+        buffer_.erase(0, consumed_);
+        scanned_ -= consumed_;
+        consumed_ = 0;
+      }
       return true;
     }
-    if (fd_ < 0 || buffer_.size() > kMaxLineBytes) return false;
+    if (fd_ < 0 || buffer_.size() - consumed_ > kMaxLineBytes) return false;
 
     char chunk[kReadChunk];
     ssize_t got;
@@ -71,7 +95,7 @@ bool TcpConn::ReadLine(std::string* line) {
 }
 
 bool TcpConn::HasBufferedLine() const {
-  return buffer_.find('\n') != std::string::npos;
+  return FindNewline() != std::string::npos;
 }
 
 bool TcpConn::WaitReadable(int timeout_ms) {
@@ -113,6 +137,7 @@ void TcpConn::Close() {
     fd_ = -1;
   }
   buffer_.clear();
+  consumed_ = scanned_ = 0;
 }
 
 TcpListener::~TcpListener() { Close(); }

@@ -39,7 +39,7 @@ class TcpConn {
 
   // True when at least one complete line is already buffered — the
   // server's cue to keep draining before answering, forming a pipeline
-  // batch.
+  // batch. Looks only at bytes no earlier call has scanned.
   bool HasBufferedLine() const;
 
   // Waits up to `timeout_ms` for the connection to become readable (data
@@ -57,8 +57,16 @@ class TcpConn {
   void Close();
 
  private:
+  // Offset of the first buffered '\n' not yet returned as a line, or
+  // npos; records how far it looked in scanned_.
+  size_t FindNewline() const;
+
   int fd_ = -1;
+  // buffer_[0, consumed_) was returned by ReadLine and awaits
+  // compaction; buffer_[consumed_, scanned_) holds no '\n'.
   std::string buffer_;
+  size_t consumed_ = 0;
+  mutable size_t scanned_ = 0;
 };
 
 // A listening socket bound to 127.0.0.1.

@@ -1,6 +1,7 @@
 #include "warp/serve/protocol.h"
 
 #include <cmath>
+#include <utility>
 
 #include "warp/common/stopwatch.h"
 #include "warp/obs/histogram.h"
@@ -261,7 +262,7 @@ std::string FormatErrorLine(int64_t id, const std::string& error) {
   return FormatResponse(response);
 }
 
-std::string FormatRequest(const ServeRequest& request) {
+UnstampedRequest FormatUnstampedRequest(const ServeRequest& request) {
   obs::JsonWriter writer;
   writer.BeginObject()
       .Key("id").Int(request.id)
@@ -289,16 +290,38 @@ std::string FormatRequest(const ServeRequest& request) {
   writer.Key("deadline_ms").Double(request.deadline_ms);
   writer.Key("znorm").Bool(request.znormalize);
   writer.Key("trace").Bool(request.trace);
-  if (request.shard_filter >= 0) {
-    writer.Key("shard").Uint(static_cast<uint64_t>(request.shard_filter));
-  }
-  if (request.require_epoch != 0) {
-    writer.Key("shard_epoch").Uint(request.require_epoch);
-  }
+  UnstampedRequest out;
+  out.stamp_at = writer.size();
   writer.Key("query").BeginArray();
   for (const double value : request.query) writer.Double(value);
   writer.EndArray().EndObject();
-  return writer.TakeOutput();
+  out.text = writer.TakeOutput();
+  return out;
+}
+
+void AppendStampedRequest(const UnstampedRequest& request, long shard,
+                          uint64_t epoch, std::string* out) {
+  out->append(request.text, 0, request.stamp_at);
+  if (shard >= 0) {
+    out->append(",\"shard\":");
+    out->append(std::to_string(shard));
+  }
+  if (epoch != 0) {
+    out->append(",\"shard_epoch\":");
+    out->append(std::to_string(epoch));
+  }
+  out->append(request.text, request.stamp_at);
+}
+
+std::string FormatRequest(const ServeRequest& request) {
+  UnstampedRequest unstamped = FormatUnstampedRequest(request);
+  if (request.shard_filter < 0 && request.require_epoch == 0) {
+    return std::move(unstamped.text);
+  }
+  std::string line;
+  AppendStampedRequest(unstamped, request.shard_filter,
+                       request.require_epoch, &line);
+  return line;
 }
 
 bool ParseResponseLine(const std::string& line, ServeResponse* out,

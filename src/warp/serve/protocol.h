@@ -4,9 +4,11 @@
 // matched by the client-chosen `id`. This layer converts between wire
 // lines and the typed structs in warp/serve/request.h; it never touches
 // sockets or the engine. Doubles are emitted with
-// JsonWriter::FormatDouble (shortest round-trip form) and parsed with
-// strtod, so distances survive the wire bit-for-bit — the loopback golden
-// tests compare them with EXPECT_EQ.
+// JsonWriter::FormatDouble (the first of %.15g/%.16g/%.17g that
+// round-trips) and parsed with warp::ParseDouble (strtod's results), both
+// from warp/common/number_text.h, so distances survive the wire
+// bit-for-bit — the loopback golden tests compare them with EXPECT_EQ.
+// The number text is the same byte for byte as snprintf/strtod made it.
 
 #ifndef WARP_SERVE_PROTOCOL_H_
 #define WARP_SERVE_PROTOCOL_H_
@@ -61,9 +63,25 @@ std::string FormatErrorLine(int64_t id, const std::string& error);
 // Serializes a query request as one wire line, no trailing newline.
 // Every parameter ParseRequestLine reads is emitted explicitly, so
 // ParseRequestLine(FormatRequest(r)) reconstructs `r` field-for-field
-// (doubles bit-for-bit via FormatDouble <-> strtod). The cluster router
-// uses this to re-serialize client queries as shard-stamped sub-scans.
+// (doubles bit-for-bit via FormatDouble <-> ParseDouble).
 std::string FormatRequest(const ServeRequest& request);
+
+// A query request formatted once for a scatter: FormatRequest's line
+// without the shard stamp ("shard", "shard_epoch"), and the offset the
+// stamp goes at. The cluster router formats each query once and stamps
+// a copy per shard, instead of copying and formatting the request (query
+// vector included) once per shard.
+struct UnstampedRequest {
+  std::string text;
+  size_t stamp_at = 0;
+};
+UnstampedRequest FormatUnstampedRequest(const ServeRequest& request);
+
+// Appends FormatRequest(r) for `r` = the formatted request with
+// shard_filter = `shard` and require_epoch = `epoch`, byte for byte:
+// "shard" is written when shard >= 0, "shard_epoch" when epoch != 0.
+void AppendStampedRequest(const UnstampedRequest& request, long shard,
+                          uint64_t epoch, std::string* out);
 
 // Parses a response line (the inverse of FormatResponse, minus the trace
 // echo) into a typed ServeResponse. The cluster router uses this to

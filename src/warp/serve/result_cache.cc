@@ -3,8 +3,8 @@
 #include <cstring>
 #include <utility>
 
-#include "warp/obs/json_writer.h"
 #include "warp/common/metrics.h"
+#include "warp/common/number_text.h"
 
 namespace warp {
 namespace serve {
@@ -27,9 +27,9 @@ uint64_t HashDoubles(const std::vector<double>& values) {
   return hash;
 }
 
-void AppendDouble(std::string* key, double value) {
+void AppendKeyDouble(std::string* key, double value) {
   key->push_back('|');
-  *key += obs::JsonWriter::FormatDouble(value);
+  AppendDouble(value, key);
 }
 
 }  // namespace
@@ -45,24 +45,24 @@ std::string CacheKey(const ServeRequest& request, uint64_t epoch) {
   key.push_back('|');
   key += request.measure;
   const MeasureParams& p = request.params;
-  AppendDouble(&key, p.window_fraction);
+  AppendKeyDouble(&key, p.window_fraction);
   key.push_back('|');
   key += std::to_string(p.band_cells);
-  AppendDouble(&key, p.wdtw_g);
+  AppendKeyDouble(&key, p.wdtw_g);
   key.push_back('|');
   key.push_back(p.wdtw_full_band ? '1' : '0');
-  AppendDouble(&key, p.adtw_omega);
-  AppendDouble(&key, p.adtw_ratio);
-  AppendDouble(&key, p.lcss_epsilon);
-  AppendDouble(&key, p.erp_gap);
-  AppendDouble(&key, p.msm_cost);
+  AppendKeyDouble(&key, p.adtw_omega);
+  AppendKeyDouble(&key, p.adtw_ratio);
+  AppendKeyDouble(&key, p.lcss_epsilon);
+  AppendKeyDouble(&key, p.erp_gap);
+  AppendKeyDouble(&key, p.msm_cost);
   key.push_back('|');
   key += std::to_string(p.fastdtw_radius);
   key.push_back('|');
   key += p.cost == CostKind::kSquared ? "sq" : "abs";
   key.push_back('|');
   key += std::to_string(request.k);
-  AppendDouble(&key, request.threshold);
+  AppendKeyDouble(&key, request.threshold);
   key.push_back('|');
   key += std::to_string(request.index);
   key.push_back('|');

@@ -1,8 +1,8 @@
 #include "warp/serve/wire.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
+
+#include "warp/common/number_text.h"
 
 namespace warp {
 namespace serve {
@@ -121,9 +121,9 @@ class JsonParser {
     if (c != '-' && (c < '0' || c > '9')) {
       return Fail("unexpected character");
     }
-    // strtod accepts a superset of JSON numbers (hex floats, inf, nan,
-    // leading '+'); restrict to the JSON grammar by scanning the token
-    // first.
+    // ParseDouble reads what strtod reads, a superset of JSON numbers
+    // (hex floats, inf, nan, leading '+'); restrict to the JSON grammar
+    // by scanning the token first.
     size_t end = pos_;
     if (text_[end] == '-') ++end;
     const size_t int_start = end;
@@ -153,10 +153,8 @@ class JsonParser {
       }
       if (end == exp_start) return Fail("malformed number (empty exponent)");
     }
-    const std::string token(text_.substr(pos_, end - pos_));
-    char* parse_end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &parse_end);
-    if (parse_end != token.c_str() + token.size()) {
+    double parsed = 0.0;
+    if (!ParseDouble(text_.substr(pos_, end - pos_), &parsed)) {
       return Fail("malformed number");
     }
     value->kind_ = JsonValue::Kind::kNumber;
@@ -261,10 +259,11 @@ class JsonParser {
     SkipWhitespace();
     if (Consume(']')) return true;
     while (true) {
-      JsonValue element;
       SkipWhitespace();
-      if (!ParseValue(&element, depth + 1)) return false;
-      value->array_.push_back(std::move(element));
+      // Parsed in place: a JsonValue is a few hundred bytes to move.
+      if (!ParseValue(&value->array_.emplace_back(), depth + 1)) {
+        return false;
+      }
       SkipWhitespace();
       if (Consume(']')) return true;
       if (!Consume(',')) return Fail("expected ',' or ']' in array");
@@ -283,9 +282,10 @@ class JsonParser {
       SkipWhitespace();
       if (!Consume(':')) return Fail("expected ':' after object key");
       SkipWhitespace();
-      JsonValue member;
+      // A repeated key keeps its last value.
+      JsonValue& member = value->object_[std::move(key)];
+      member = JsonValue();
       if (!ParseValue(&member, depth + 1)) return false;
-      value->object_[std::move(key)] = std::move(member);
       SkipWhitespace();
       if (Consume('}')) return true;
       if (!Consume(',')) return Fail("expected ',' or '}' in object");

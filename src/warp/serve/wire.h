@@ -5,9 +5,10 @@
 // this is its read-side counterpart: a small recursive-descent parser for
 // one complete JSON value, dependency-free, with depth and size limits so
 // a hostile client cannot blow the stack or the heap. Numbers parse with
-// strtod, so any double emitted by JsonWriter::FormatDouble round-trips
-// to the identical bits — the property the result-cache and golden
-// serving tests rely on.
+// warp::ParseDouble (warp/common/number_text.h: from_chars, with strtod's
+// exact results where from_chars declines), so any double emitted by
+// JsonWriter::FormatDouble round-trips to the identical bits — the
+// property the result-cache and golden serving tests rely on.
 
 #ifndef WARP_SERVE_WIRE_H_
 #define WARP_SERVE_WIRE_H_

@@ -1,9 +1,10 @@
 #include "warp/ts/io.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+
+#include "warp/common/number_text.h"
 
 namespace warp {
 
@@ -13,9 +14,9 @@ bool IsSeparator(char c) {
   return c == '\t' || c == ',' || c == ' ' || c == '\r';
 }
 
-// Splits on any run of separators.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
+// Splits on any run of separators. The views point into `line`.
+std::vector<std::string_view> Tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
   size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && IsSeparator(line[i])) ++i;
@@ -26,32 +27,33 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-bool ParseDouble(const std::string& token, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size() && std::isfinite(*value);
+// Accepts what strtod accepts (a leading '+', hex floats) as long as the
+// value is finite, so "1e400" and "inf" are rejected.
+bool ParseFiniteDouble(std::string_view token, double* value) {
+  return ParseDouble(token, value) && std::isfinite(*value);
 }
 
 }  // namespace
 
 bool ParseUcrLine(const std::string& line, TimeSeries* series,
                   std::string* error) {
-  const std::vector<std::string> tokens = Tokenize(line);
+  const std::vector<std::string_view> tokens = Tokenize(line);
   if (tokens.size() < 2) {
     *error = "line must contain a label and at least one value";
     return false;
   }
   double label_value = 0.0;
-  if (!ParseDouble(tokens[0], &label_value)) {
-    *error = "unparseable class label: '" + tokens[0] + "'";
+  if (!ParseFiniteDouble(tokens[0], &label_value)) {
+    *error = "unparseable class label: '" + std::string(tokens[0]) + "'";
     return false;
   }
   std::vector<double> values;
   values.reserve(tokens.size() - 1);
   for (size_t i = 1; i < tokens.size(); ++i) {
     double v = 0.0;
-    if (!ParseDouble(tokens[i], &v)) {
-      *error = "unparseable or non-finite value: '" + tokens[i] + "'";
+    if (!ParseFiniteDouble(tokens[i], &v)) {
+      *error =
+          "unparseable or non-finite value: '" + std::string(tokens[i]) + "'";
       return false;
     }
     values.push_back(v);
@@ -122,11 +124,12 @@ bool LoadSeriesFile(const std::string& path, TimeSeries* series,
   int line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    for (const std::string& token : Tokenize(line)) {
+    for (const std::string_view token : Tokenize(line)) {
       double v = 0.0;
-      if (!ParseDouble(token, &v)) {
+      if (!ParseFiniteDouble(token, &v)) {
         *error = path + ":" + std::to_string(line_number) +
-                 ": unparseable or non-finite value: '" + token + "'";
+                 ": unparseable or non-finite value: '" + std::string(token) +
+                 "'";
         return false;
       }
       values.push_back(v);

@@ -4,6 +4,9 @@
 
 #include "warp/serve/protocol.h"
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -152,6 +155,60 @@ TEST(ProtocolTest, DoublesSurviveTheWireBitForBit) {
   const JsonValue* distance = root.Find("distance");
   ASSERT_NE(distance, nullptr);
   EXPECT_EQ(distance->AsNumber(), response.distance);
+}
+
+// Number tokens at the edges of the double range read as strtod reads
+// them: overflow to +-inf, underflow to 0 or the nearest subnormal.
+TEST(ProtocolTest, WireNumbersAtTheEdgesOfTheDoubleRange) {
+  const auto number = [](const std::string& text) {
+    JsonValue root;
+    std::string error;
+    EXPECT_TRUE(ParseJson(text, &root, &error)) << text << ": " << error;
+    EXPECT_TRUE(root.is_number()) << text;
+    return root.AsNumber();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(number("1e400"), inf);
+  EXPECT_EQ(number("-1e400"), -inf);
+  EXPECT_EQ(number("1e-400"), 0.0);
+  EXPECT_FALSE(std::signbit(number("1e-400")));
+  EXPECT_EQ(number("4.9e-324"), DBL_TRUE_MIN);
+  EXPECT_EQ(number("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(number("-0")));
+  EXPECT_EQ(number("1E+2"), 100.0);
+
+  // The same tokens inside a query array.
+  ParsedLine parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRequestLine(
+      R"({"op": "1nn", "dataset": "d",)"
+      R"( "query": [1e400, -1e400, 1e-400, 4.9e-324, -0, 1E+2]})",
+      &parsed, &error))
+      << error;
+  ASSERT_EQ(parsed.request.query.size(), 6u);
+  EXPECT_EQ(parsed.request.query[0], inf);
+  EXPECT_EQ(parsed.request.query[1], -inf);
+  EXPECT_EQ(parsed.request.query[2], 0.0);
+  EXPECT_EQ(parsed.request.query[3], DBL_TRUE_MIN);
+  EXPECT_TRUE(std::signbit(parsed.request.query[4]));
+  EXPECT_EQ(parsed.request.query[5], 100.0);
+}
+
+// strtod reads all of these; the JSON grammar does not, alone or in an
+// array.
+TEST(ProtocolTest, WireRejectsNumbersOutsideTheJsonGrammar) {
+  for (const std::string text :
+       {"01", "1.", ".5", "+1", "0x10", "nan", "inf"}) {
+    JsonValue root;
+    std::string error;
+    EXPECT_FALSE(ParseJson(text, &root, &error)) << text;
+    EXPECT_FALSE(ParseJson("[" + text + "]", &root, &error)) << text;
+    ParsedLine parsed;
+    EXPECT_FALSE(ParseRequestLine(
+        R"({"op": "1nn", "dataset": "d", "query": [)" + text + "]}", &parsed,
+        &error))
+        << text;
+  }
 }
 
 TEST(ProtocolTest, FormatsNeighborLists) {

@@ -2,6 +2,7 @@
 
 #include "warp/ts/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -46,6 +47,26 @@ TEST_F(IoTest, ParseUcrLineRejectsNonFinite) {
   std::string error;
   EXPECT_FALSE(ParseUcrLine("1\tnan\t2", &series, &error));
   EXPECT_FALSE(ParseUcrLine("1\tinf", &series, &error));
+}
+
+// The reader accepts what strtod reads, finite values only.
+TEST_F(IoTest, ParseUcrLineReadsNumbersAsStrtodDoes) {
+  TimeSeries series;
+  std::string error;
+  ASSERT_TRUE(ParseUcrLine("+2\t+1.5\t0x10\t0x1p-2\t1e-400\t-0", &series,
+                           &error))
+      << error;
+  EXPECT_EQ(series.label(), 2);
+  EXPECT_EQ(series.values(),
+            (std::vector<double>{1.5, 16.0, 0.25, 0.0, 0.0}));
+  EXPECT_TRUE(std::signbit(series.values()[4]));
+
+  EXPECT_FALSE(ParseUcrLine("1\t1e400", &series, &error));
+  EXPECT_NE(error.find("1e400"), std::string::npos);
+  EXPECT_FALSE(ParseUcrLine("1\t-1e400", &series, &error));
+  EXPECT_FALSE(ParseUcrLine("1e400\t1", &series, &error));
+  EXPECT_FALSE(ParseUcrLine("1\t1.5x", &series, &error));
+  EXPECT_FALSE(ParseUcrLine("1\t--1", &series, &error));
 }
 
 TEST_F(IoTest, ParseUcrLineRequiresLabelAndValue) {

@@ -1,7 +1,6 @@
 #include "warp/serve/protocol.h"
 
 #include <cmath>
-#include <utility>
 
 #include "warp/common/stopwatch.h"
 #include "warp/obs/histogram.h"
@@ -314,12 +313,8 @@ void AppendStampedRequest(const UnstampedRequest& request, long shard,
 }
 
 std::string FormatRequest(const ServeRequest& request) {
-  UnstampedRequest unstamped = FormatUnstampedRequest(request);
-  if (request.shard_filter < 0 && request.require_epoch == 0) {
-    return std::move(unstamped.text);
-  }
   std::string line;
-  AppendStampedRequest(unstamped, request.shard_filter,
+  AppendStampedRequest(FormatUnstampedRequest(request), request.shard_filter,
                        request.require_epoch, &line);
   return line;
 }

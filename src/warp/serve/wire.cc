@@ -260,7 +260,7 @@ class JsonParser {
     if (Consume(']')) return true;
     while (true) {
       SkipWhitespace();
-      // Parsed in place: a JsonValue is a few hundred bytes to move.
+      // Parsed in place: a JsonValue is over a hundred bytes to move.
       if (!ParseValue(&value->array_.emplace_back(), depth + 1)) {
         return false;
       }
